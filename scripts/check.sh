@@ -6,16 +6,18 @@
 #   2. bench smoke:    quick-mode bench_fig5_onset --json, gated by
 #      bench_compare against the committed baseline (counters/verdicts
 #      only; latency is machine-specific)
-#   3. asan preset:    ASan+UBSan instrumented build + ctest
-#   4. tsan preset:    TSan instrumented build + ctest
-#   5. clang-tidy over src/ (skipped if clang-tidy is not installed)
-#   6. Clang thread-safety capability analysis (tsafety preset; skipped
+#   3. serving benchmark: perfbench/run.py --test builds perfbench from
+#      source into build/perfbench and runs its self-test
+#   4. asan preset:    ASan+UBSan instrumented build + ctest
+#   5. tsan preset:    TSan instrumented build + ctest
+#   6. clang-tidy over src/ (skipped if clang-tidy is not installed)
+#   7. Clang thread-safety capability analysis (tsafety preset; skipped
 #      if clang++ is not installed)
-#   7. mandilint repo-invariant linter
+#   8. mandilint repo-invariant linter
 #
 # Usage:
 #   scripts/check.sh           # everything
-#   scripts/check.sh --fast    # skip the sanitizer builds (steps 2-3)
+#   scripts/check.sh --fast    # skip the sanitizer builds (steps 4-5)
 #
 # Exits non-zero on the first failing step.
 set -euo pipefail
@@ -78,6 +80,12 @@ build/tools/bench_compare --skip-latency \
 MANDIPASS_BENCH_QUICK=1 build/bench/bench_quantized --json build/BENCH_bench_quantized.json
 build/tools/bench_compare --skip-latency \
   bench/baselines/bench_quantized.quick.json build/BENCH_bench_quantized.json
+
+# perfbench/ (run by BENCHMARK.json) is a stand-alone CMake project over
+# the library targets and calls the public auth/core entry points, so
+# building it here catches an API change that would break the benchmark.
+step "serving benchmark build + self-test"
+CARGO_TARGET_DIR=build python3 perfbench/run.py --test
 
 if [ "$FAST" -eq 0 ]; then
   step "ASan+UBSan build + ctest"

@@ -68,6 +68,13 @@ job_bench_smoke() {
       build/BENCH_bench_quantized.json
 }
 
+# Mirrors the perfbench CI job: builds the serving benchmark (a stand-alone
+# CMake project over the library targets) into build/perfbench and runs
+# its self-test, so an API change that breaks the benchmark fails CI.
+job_perfbench() {
+  CARGO_TARGET_DIR=build python3 perfbench/run.py --test
+}
+
 # Mirrors the no-simd CI job: the generic int32 fallback tier must pass
 # the full suite (incl. the perf cross-tier/bit-identity tests) alone.
 job_no_simd() {
@@ -112,6 +119,7 @@ job_chaos_asan() {
 
 run_job "build-werror"  job_build_werror
 run_job "bench-smoke"   job_bench_smoke
+run_job "perfbench"     job_perfbench
 run_job "no-obs"        job_no_obs
 run_job "no-simd"       job_no_simd
 run_job "fault"         job_fault
@@ -124,7 +132,7 @@ run_job "mandilint"     scripts/lint.sh
 echo
 echo "==== ci summary ===="
 FAIL=0
-for name in build-werror bench-smoke no-obs no-simd fault sanitize chaos-asan clang-tidy tsafety mandilint; do
+for name in build-werror bench-smoke perfbench no-obs no-simd fault sanitize chaos-asan clang-tidy tsafety mandilint; do
   echo "  $name: ${STATUS[$name]}"
   [ "${STATUS[$name]}" = ok ] || FAIL=1
 done

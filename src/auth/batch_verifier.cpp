@@ -11,7 +11,6 @@
 
 #include "auth/gaussian_matrix.h"
 #include "common/error.h"
-#include "common/finite.h"
 #include "common/mutex.h"
 #include "common/obs.h"
 
@@ -91,94 +90,62 @@ const char* batch_status_name(BatchStatus status) {
   return "?";
 }
 
+BatchStats tally(std::span<const BatchDecision> decisions, double wall_ms) {
+  BatchStats st;
+  st.requests = decisions.size();
+  for (const BatchDecision& d : decisions) {
+    st.known += d.known ? 1 : 0;
+    st.accepted += (d.known && d.decision.accepted) ? 1 : 0;
+    st.unknown += d.status == BatchStatus::Unknown ? 1 : 0;
+    st.invalid += d.status == BatchStatus::Invalid ? 1 : 0;
+    st.expired += d.status == BatchStatus::Expired ? 1 : 0;
+    st.shed += d.status == BatchStatus::Shed ? 1 : 0;
+    st.degraded += d.degraded ? 1 : 0;
+  }
+  if (wall_ms > 0.0) {
+    st.wall_ms = wall_ms;
+    st.throughput_per_s = static_cast<double>(st.requests) * 1000.0 / wall_ms;
+  }
+  return st;
+}
+
+void mark_rejected(BatchDecision& out, const common::Error& error) {
+  out = BatchDecision{};
+  switch (error.code) {
+    case common::ErrorCode::UnknownUser:
+      out.status = BatchStatus::Unknown;
+      break;
+    case common::ErrorCode::DeadlineExceeded:
+      out.status = BatchStatus::Expired;
+      break;
+    case common::ErrorCode::Overloaded:
+      out.status = BatchStatus::Shed;
+      break;
+    default:
+      out.status = BatchStatus::Invalid;
+      break;
+  }
+  out.reason = error.code;
+}
+
+void mark_expired(BatchDecision& out) {
+  mark_rejected(out, common::make_error(common::ErrorCode::DeadlineExceeded,
+                                        "request budget exhausted before verification"));
+}
+
+void mark_shed(BatchDecision& out, const char* detail) {
+  mark_rejected(out, common::make_error(common::ErrorCode::Overloaded, detail));
+}
+
 BatchDecision BatchVerifier::verify_one(const std::string& user,
                                         std::span<const float> raw_probe) const {
   MANDIPASS_OBS_TRACE(trace_verify, "auth.batch.verify_us");
-  MANDIPASS_OBS_COUNT("auth.batch.verify_total");
+  const VerifyRequest request{user, std::vector<float>(raw_probe.begin(), raw_probe.end())};
+  const std::size_t only = 0;
   BatchDecision out;
-  // Totality gates: verify_one runs on pool workers, where a throw would
-  // surface via parallel_for on the caller and void the whole batch. Any
-  // malformed request instead becomes an Invalid decision with a typed
-  // reason (and a fault.reject.* counter via make_error).
-  if (raw_probe.empty()) {
-    MANDIPASS_OBS_COUNT("auth.batch.verify_invalid");
-    out.status = BatchStatus::Invalid;
-    out.reason = common::make_error(common::ErrorCode::InvalidInput, "empty probe").code;
-    return out;
-  }
-  for (float v : raw_probe) {
-    if (!common::is_finite(v)) {
-      MANDIPASS_OBS_COUNT("auth.batch.verify_invalid");
-      out.status = BatchStatus::Invalid;
-      out.reason =
-          common::make_error(common::ErrorCode::NonFiniteSample, "non-finite probe value").code;
-      return out;
-    }
-  }
-  // Shared-lock window: copy the template and the operating threshold so
-  // the decision is computed against one consistent generation even while
-  // writers re-key the user concurrently.
-  std::optional<StoredTemplate> stored;
-  double threshold = 0.0;
-  {
-    ReaderLock lock(mutex_, kDeferLock);
-    {
-      MANDIPASS_OBS_TRACE(trace_wait, "auth.batch.shared_lock_wait_us");
-      lock.lock();  // mandilint: allow(raw-lock-discipline) -- timed deferred RAII acquire
-    }
-    stored = lookup_locked(user);
-    threshold = threshold_locked();
-  }
-  if (!stored.has_value()) {
-    MANDIPASS_OBS_COUNT("auth.batch.verify_unknown");
-    out.status = BatchStatus::Unknown;
-    out.reason = common::make_error(common::ErrorCode::UnknownUser,
-                                    "no enrolment for user '" + user + "'")
-                     .code;
-    return out;
-  }
-  if (stored->data.size() != raw_probe.size()) {
-    // The cancelable transform is square: a wrong-dim probe can never
-    // match, and cosine_distance would assert on the size disagreement.
-    MANDIPASS_OBS_COUNT("auth.batch.verify_invalid");
-    out.status = BatchStatus::Invalid;
-    out.reason = common::make_error(common::ErrorCode::DimensionMismatch,
-                                    "probe/template dimension mismatch for user '" + user + "'")
-                     .code;
-    return out;
-  }
-  out.known = true;
-  out.key_version = stored->key_version;
-  const auto g = cache_->get(stored->matrix_seed, raw_probe.size());
-  const auto transformed = g->transform(raw_probe);
-  const Verifier v(threshold);
-  out.decision = v.verify(transformed, stored->data);
-  if (out.decision.accepted) {
-    MANDIPASS_OBS_COUNT("auth.batch.verify_accepted");
-    out.status = BatchStatus::Accepted;
-  } else {
-    MANDIPASS_OBS_COUNT("auth.batch.verify_rejected");
-    out.status = BatchStatus::Rejected;
-  }
+  verify_coalesced({&request, 1}, {&only, 1}, {&out, 1});
   return out;
 }
-
-namespace {
-
-/// Writes the typed deadline-expired decision for one request slot.
-/// Expired requests report known=false regardless of enrolment: the
-/// service never looked at the store, and saying so is more honest than
-/// a half-answered lookup.
-void mark_expired(BatchDecision& out) {
-  MANDIPASS_OBS_COUNT("auth.batch.verify_expired");
-  out = BatchDecision{};
-  out.status = BatchStatus::Expired;
-  out.reason = common::make_error(common::ErrorCode::DeadlineExceeded,
-                                  "request budget exhausted before verification")
-                   .code;
-}
-
-}  // namespace
 
 CoalesceStats BatchVerifier::verify_coalesced(std::span<const VerifyRequest> requests,
                                               std::span<const std::size_t> indices,
@@ -194,39 +161,25 @@ CoalesceStats BatchVerifier::verify_coalesced(std::span<const VerifyRequest> req
   if (deadline.expired()) {
     for (const std::size_t i : indices) {
       MANDIPASS_OBS_COUNT("auth.batch.verify_total");
+      MANDIPASS_OBS_COUNT("auth.batch.verify_expired");
       mark_expired(decisions[i]);
     }
     return cs;
   }
-  // Phase 1 — totality gates, identical to verify_one: malformed probes
-  // become Invalid decisions before any lock is taken.
+  // Phase 1 — the probe gate, before any lock is taken. This runs on pool
+  // workers, where a throw would surface via parallel_for on the caller
+  // and void the whole batch, so a malformed probe becomes a typed
+  // Invalid decision instead.
   std::vector<std::size_t> valid;
   valid.reserve(indices.size());
   for (const std::size_t i : indices) {
     MANDIPASS_OBS_COUNT("auth.batch.verify_total");
-    const VerifyRequest& req = requests[i];
-    BatchDecision& out = decisions[i];
-    out = BatchDecision{};
-    if (req.raw_probe.empty()) {
+    if (const auto gate = check_probe(requests[i].raw_probe); !gate.ok()) {
       MANDIPASS_OBS_COUNT("auth.batch.verify_invalid");
-      out.status = BatchStatus::Invalid;
-      out.reason = common::make_error(common::ErrorCode::InvalidInput, "empty probe").code;
+      mark_rejected(decisions[i], gate.error());
       continue;
     }
-    bool finite = true;
-    for (const float v : req.raw_probe) {
-      if (!common::is_finite(v)) {
-        finite = false;
-        break;
-      }
-    }
-    if (!finite) {
-      MANDIPASS_OBS_COUNT("auth.batch.verify_invalid");
-      out.status = BatchStatus::Invalid;
-      out.reason =
-          common::make_error(common::ErrorCode::NonFiniteSample, "non-finite probe value").code;
-      continue;
-    }
+    decisions[i] = BatchDecision{};
     valid.push_back(i);
   }
   // Phase 2 — ONE shared-lock window snapshots every template plus the
@@ -247,40 +200,30 @@ CoalesceStats BatchVerifier::verify_coalesced(std::span<const VerifyRequest> req
     }
     threshold = threshold_locked();
   }
-  // Phase 3 — resolve Unknown / dimension mismatches, group the rest by
-  // (matrix_seed, dim). std::map keys keep group order deterministic.
+  // Phase 3 — the template gate (Unknown / dimension mismatch), then
+  // group the rest by (matrix_seed, dim). std::map keys keep group order
+  // deterministic.
   std::map<std::pair<std::uint64_t, std::size_t>, std::vector<std::size_t>> groups;
   for (std::size_t k = 0; k < valid.size(); ++k) {
-    const std::size_t i = valid[k];
-    const VerifyRequest& req = requests[i];
-    BatchDecision& out = decisions[i];
-    if (!snaps[k].has_value()) {
-      MANDIPASS_OBS_COUNT("auth.batch.verify_unknown");
-      out.status = BatchStatus::Unknown;
-      out.reason = common::make_error(common::ErrorCode::UnknownUser,
-                                      "no enrolment for user '" + req.user + "'")
-                       .code;
-      continue;
-    }
-    if (snaps[k]->data.size() != req.raw_probe.size()) {
-      MANDIPASS_OBS_COUNT("auth.batch.verify_invalid");
-      out.status = BatchStatus::Invalid;
-      out.reason =
-          common::make_error(common::ErrorCode::DimensionMismatch,
-                             "probe/template dimension mismatch for user '" + req.user + "'")
-              .code;
+    const VerifyRequest& req = requests[valid[k]];
+    if (const auto gate = check_template(snaps[k], req.user, req.raw_probe.size()); !gate.ok()) {
+      if (gate.code() == common::ErrorCode::UnknownUser) {
+        MANDIPASS_OBS_COUNT("auth.batch.verify_unknown");
+      } else {
+        MANDIPASS_OBS_COUNT("auth.batch.verify_invalid");
+      }
+      mark_rejected(decisions[valid[k]], gate.error());
       continue;
     }
     groups[{snaps[k]->matrix_seed, req.raw_probe.size()}].push_back(k);
   }
   // Phase 4 — one packed-GEMM tile per group: pack the member probes
   // contiguously and stream the group's matrix once per kXTile probes.
-  // transform_batch keeps verify_one's per-element accumulation order,
-  // so every distance below is bit-identical to the per-request path.
+  // transform_batch keeps transform()'s per-element accumulation order,
+  // so every distance below is bit-identical to a lone transform.
   const Verifier v(threshold);
   std::vector<float> xs;
   std::vector<float> transformed;
-  std::vector<std::size_t> live;
   bool budget_gone = false;
   for (const auto& [key, members] : groups) {
     const auto& [seed, dim] = key;
@@ -292,49 +235,27 @@ CoalesceStats BatchVerifier::verify_coalesced(std::span<const VerifyRequest> req
     }
     if (budget_gone) {
       for (const std::size_t k : members) {
+        MANDIPASS_OBS_COUNT("auth.batch.verify_expired");
         mark_expired(decisions[valid[k]]);
       }
       continue;
     }
     const auto g = cache_->get(seed, dim);
-    // Per-member dimension guard: totality here must not depend on the
-    // grouping key happening to carry the probe dimension. A member whose
-    // probe cannot ride this group's tile gets its own typed Invalid
-    // decision instead of the whole group dying on transform_batch's
-    // precondition.
-    live.clear();
-    for (const std::size_t k : members) {
-      const std::size_t i = valid[k];
-      if (requests[i].raw_probe.size() == g->dim()) {
-        live.push_back(k);
-        continue;
-      }
-      MANDIPASS_OBS_COUNT("auth.batch.verify_invalid");
-      BatchDecision& out = decisions[i];
-      out.status = BatchStatus::Invalid;
-      out.reason = common::make_error(
-                       common::ErrorCode::DimensionMismatch,
-                       "probe/matrix dimension mismatch for user '" + requests[i].user + "'")
-                       .code;
-    }
-    if (live.empty()) {
-      continue;
-    }
     cs.groups += 1;
-    if (live.size() >= 2) {
-      cs.coalesced += live.size();
+    if (members.size() >= 2) {
+      cs.coalesced += members.size();
     } else {
       cs.singletons += 1;
     }
-    xs.resize(live.size() * dim);
-    transformed.resize(live.size() * dim);
-    for (std::size_t m = 0; m < live.size(); ++m) {
-      const auto& probe = requests[valid[live[m]]].raw_probe;
+    xs.resize(members.size() * dim);
+    transformed.resize(members.size() * dim);
+    for (std::size_t m = 0; m < members.size(); ++m) {
+      const auto& probe = requests[valid[members[m]]].raw_probe;
       std::copy(probe.begin(), probe.end(), xs.begin() + static_cast<std::ptrdiff_t>(m * dim));
     }
-    g->transform_batch(xs, live.size(), transformed);
-    for (std::size_t m = 0; m < live.size(); ++m) {
-      const std::size_t k = live[m];
+    g->transform_batch(xs, members.size(), transformed);
+    for (std::size_t m = 0; m < members.size(); ++m) {
+      const std::size_t k = members[m];
       BatchDecision& out = decisions[valid[k]];
       out.known = true;
       out.key_version = snaps[k]->key_version;
@@ -374,26 +295,14 @@ BatchResult BatchVerifier::verify_batch(std::span<const VerifyRequest> requests,
       std::chrono::duration<double, std::milli>(clock::now() - batch_start).count();
 
   BatchStats& s = result.stats;
-  s.requests = requests.size();
-  s.wall_ms = wall_ms;
+  s = tally(result.decisions, wall_ms);
   double sum_ms = 0.0;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const BatchDecision& d = result.decisions[i];
-    s.known += d.known ? 1 : 0;
-    s.accepted += (d.known && d.decision.accepted) ? 1 : 0;
-    s.unknown += d.status == BatchStatus::Unknown ? 1 : 0;
-    s.invalid += d.status == BatchStatus::Invalid ? 1 : 0;
-    s.expired += d.status == BatchStatus::Expired ? 1 : 0;
-    s.shed += d.status == BatchStatus::Shed ? 1 : 0;
-    s.degraded += d.degraded ? 1 : 0;
-    sum_ms += request_ms[i];
-    s.max_request_ms = std::max(s.max_request_ms, request_ms[i]);
+  for (const double ms : request_ms) {
+    sum_ms += ms;
+    s.max_request_ms = std::max(s.max_request_ms, ms);
   }
   if (s.requests > 0) {
     s.mean_request_ms = sum_ms / static_cast<double>(s.requests);
-  }
-  if (wall_ms > 0.0) {
-    s.throughput_per_s = static_cast<double>(s.requests) * 1000.0 / wall_ms;
   }
   return result;
 }

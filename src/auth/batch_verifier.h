@@ -106,6 +106,25 @@ struct CoalesceStats {
   std::size_t singletons = 0;  ///< known requests alone in their group
 };
 
+/// The outcome counts of a batch (requests, known, accepted, unknown,
+/// invalid, expired, shed, degraded) plus, when `wall_ms` > 0, the wall
+/// time and throughput. Per-request service times are left to the caller.
+BatchStats tally(std::span<const BatchDecision> decisions, double wall_ms = 0.0);
+
+/// Overwrites `out` with the typed reject for `error`: Unknown for
+/// UnknownUser, Expired for DeadlineExceeded, Shed for Overloaded and
+/// Invalid for every other code (the check_probe / check_template
+/// rejects). Every layer answers a request it does not verify through
+/// this writer.
+void mark_rejected(BatchDecision& out, const common::Error& error);
+
+/// The Expired and Shed decisions. Expired requests report known=false
+/// regardless of enrolment: the service never looked at the store. Both
+/// build their reason with make_error (fault.reject.deadline_exceeded /
+/// overloaded); layer counters stay with the caller.
+void mark_expired(BatchDecision& out);
+void mark_shed(BatchDecision& out, const char* detail);
+
 /// The locking contract below is machine-checked: every member is
 /// MANDIPASS_GUARDED_BY its mutex, the internal snapshot helpers state
 /// MANDIPASS_REQUIRES_SHARED, and the public entry points state
@@ -136,7 +155,8 @@ class BatchVerifier {
   /// Enrolled-user count (shared lock).
   std::size_t size() const MANDIPASS_EXCLUDES(mutex_);
 
-  /// Verifies one request against the current template generation.
+  /// Verifies one request against the current template generation: a
+  /// one-request verify_coalesced call, timed as auth.batch.verify_us.
   BatchDecision verify_one(const std::string& user, std::span<const float> raw_probe) const
       MANDIPASS_EXCLUDES(mutex_);
 
@@ -146,18 +166,22 @@ class BatchVerifier {
                            common::ThreadPool* pool = nullptr) const
       MANDIPASS_EXCLUDES(mutex_);
 
-  /// Coalesced verification of the subset requests[indices]: one shared
-  /// lock acquisition snapshots every template plus the threshold, the
-  /// known requests are grouped by (matrix_seed, dim), and each group
-  /// runs as one GaussianMatrix::transform_batch tile instead of one
-  /// transform per request. decisions[i] is written for each i in
-  /// `indices` (decisions.size() must equal requests.size()); other
-  /// slots are untouched, so a router can aim several shards at one
-  /// decision vector. Decisions are bit-identical to verify_one on the
-  /// same snapshot — including duplicate user ids, which simply resolve
-  /// to the same snapshotted template — and land at their request's own
-  /// index, so the caller's ordering can never invert. Totality matches
-  /// verify_one: malformed probes and unknown ids become typed decisions.
+  /// The engine's decision kernel; every verify entry point of the
+  /// engine ends here. Coalesced verification of the subset
+  /// requests[indices]: one shared lock acquisition snapshots every
+  /// template plus the threshold, the known requests are grouped by
+  /// (matrix_seed, dim), and each group runs as one
+  /// GaussianMatrix::transform_batch tile instead of one transform per
+  /// request. decisions[i] is written for each i in `indices`
+  /// (decisions.size() must equal requests.size()); other slots are
+  /// untouched, so a router can aim several shards at one decision
+  /// vector. Every distance is bit-identical to a lone
+  /// GaussianMatrix::transform of the probe checked by Verifier::verify
+  /// against the same snapshot — including duplicate user ids, which
+  /// simply resolve to the same snapshotted template — and lands at its
+  /// request's own index, so the caller's ordering can never invert.
+  /// Total: requests refused by check_probe / check_template become typed
+  /// Invalid / Unknown decisions.
   ///
   /// `deadline` bounds the call: if it is already expired on entry every
   /// indexed request short-circuits to an Expired decision before any

@@ -12,9 +12,9 @@
 // Concurrency: a GaussianMatrix is immutable after construction (the
 // packed kernel is built in the ctor; transform() is const and touches
 // no mutable state), so const instances are freely shared across threads
-// — BatchVerifier's seed-keyed cache hands out shared_ptr<const
-// GaussianMatrix> and only the map itself is lock-guarded
-// (MANDIPASS_GUARDED_BY(cache_mutex_)).
+// — the seed-keyed MatrixCache (auth/matrix_cache.h) hands out
+// shared_ptr<const GaussianMatrix> and only its own map and recency list
+// are lock-guarded (MANDIPASS_GUARDED_BY(MatrixCache::mutex_)).
 #pragma once
 
 #include <cstdint>

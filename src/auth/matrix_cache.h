@@ -16,7 +16,8 @@
 // already hold it; only the cache's reference is dropped.
 //
 // Integrity (PR 9): each entry records the CRC32 of its packed kernel
-// bytes at insert and re-verifies on every hit. A mismatch means the
+// bytes at insert and re-verifies on every hit — one CRC pass per *group*
+// lookup (not per request) on the coalesced path. A mismatch means the
 // shared in-memory matrix was corrupted after publication (stray write,
 // poisoning) — a silent wrong-answer factory for every shard. Detection
 // increments "auth.matrix_cache.poison_detected" and the entry is dropped
@@ -49,9 +50,6 @@ struct MatrixCacheConfig {
   /// is evicted. Generous default: 1024 entries at dim 512 is ~1 GiB of
   /// packed matrices, far above any steady-state seed-epoch working set.
   std::size_t max_entries = 1024;
-  /// Re-verify each entry's packed-kernel CRC on lookup. Costs one CRC
-  /// pass per *group* lookup (not per request) on the coalesced path.
-  bool verify_integrity = true;
 };
 
 class MatrixCache {

@@ -9,36 +9,16 @@
 
 #include "auth/verifier.h"
 #include "common/error.h"
-#include "common/finite.h"
 #include "common/obs.h"
 
 namespace mandipass::auth::resilience {
 
-namespace {
-
-void mark_expired(BatchDecision& out) {
-  out = BatchDecision{};
-  out.status = BatchStatus::Expired;
-  out.reason = common::make_error(common::ErrorCode::DeadlineExceeded,
-                                  "request budget exhausted before verification")
-                   .code;
-}
-
-void mark_shed(BatchDecision& out, const char* detail) {
-  out = BatchDecision{};
-  out.status = BatchStatus::Shed;
-  out.reason = common::make_error(common::ErrorCode::Overloaded, detail).code;
-}
-
-}  // namespace
-
 ResilientVerifier::ResilientVerifier(std::size_t shards, ResilienceConfig config,
                                      double threshold)
     : config_(config), engine_(shards, threshold) {
-  queues_.reserve(shards);
+  MANDIPASS_EXPECTS(config_.queue_capacity >= 1);
   breakers_.reserve(shards);
   for (std::size_t s = 0; s < shards; ++s) {
-    queues_.push_back(std::make_unique<AdmissionQueue>(config_.queue_capacity));
     breakers_.push_back(std::make_unique<CircuitBreaker>(config_.breaker, config_.clock));
   }
 }
@@ -47,36 +27,17 @@ BatchDecision ResilientVerifier::degraded_one(std::size_t s, const VerifyRequest
                                               std::size_t* degraded_served,
                                               std::size_t* degraded_missed) {
   BatchDecision out;
-  // Totality gates mirror BatchVerifier::verify_one so a degraded shard
-  // classifies malformed requests identically to a healthy one.
-  if (request.raw_probe.empty()) {
-    out.status = BatchStatus::Invalid;
-    out.reason = common::make_error(common::ErrorCode::InvalidInput, "empty probe").code;
+  // The healthy path's gate, so a degraded shard classifies malformed
+  // requests identically to a healthy one.
+  if (const auto gate = check_probe(request.raw_probe); !gate.ok()) {
+    mark_rejected(out, gate.error());
     return out;
-  }
-  for (const float v : request.raw_probe) {
-    if (!common::is_finite(v)) {
-      out.status = BatchStatus::Invalid;
-      out.reason =
-          common::make_error(common::ErrorCode::NonFiniteSample, "non-finite probe value").code;
-      return out;
-    }
   }
   const BatchVerifier& shard = engine_.shard(s);
   const auto stored = shard.snapshot(request.user);
-  if (!stored.has_value()) {
-    out.status = BatchStatus::Unknown;
-    out.reason = common::make_error(common::ErrorCode::UnknownUser,
-                                    "no enrolment for user '" + request.user + "'")
-                     .code;
-    return out;
-  }
-  if (stored->data.size() != request.raw_probe.size()) {
-    out.status = BatchStatus::Invalid;
-    out.reason = common::make_error(common::ErrorCode::DimensionMismatch,
-                                    "probe/template dimension mismatch for user '" +
-                                        request.user + "'")
-                     .code;
+  if (const auto gate = check_template(stored, request.user, request.raw_probe.size());
+      !gate.ok()) {
+    mark_rejected(out, gate.error());
     return out;
   }
   // Degraded restriction: serve only matrices the cache already holds.
@@ -113,7 +74,9 @@ BatchResult ResilientVerifier::verify_batch(std::span<const VerifyRequest> reque
   // Phase A — admission, serial in request order. Determinism rule:
   // shed/expired counts must be a pure function of (arrival order, queue
   // capacity, deadline), so no concurrency is allowed to reorder who
-  // meets a full queue.
+  // meets a full queue. The per-shard lists belong to this call alone,
+  // which is what makes concurrent callers safe.
+  std::vector<std::vector<std::size_t>> admitted(n_shards);
   std::size_t admitted_count = 0;
   std::size_t shed_count = 0;
   std::size_t expired_count = 0;
@@ -123,26 +86,29 @@ BatchResult ResilientVerifier::verify_batch(std::span<const VerifyRequest> reque
       ++expired_count;
       continue;
     }
-    const std::size_t s = engine_.shard_for(requests[i].user);
-    if (!queues_[s]->try_push(i)) {
+    std::vector<std::size_t>& queue = admitted[engine_.shard_for(requests[i].user)];
+    if (queue.size() >= config_.queue_capacity) {
+      // Reject-newest: requests already admitted are closest to their
+      // deadline and have the most sunk cost, so the marginal arrival is
+      // the cheapest to turn away.
       mark_shed(result.decisions[i], "admission queue full");
       ++shed_count;
       continue;
     }
+    queue.push_back(i);
     ++admitted_count;
   }
 
-  // Phase B — per-shard service on the pool. Each shard drains its own
-  // queue and writes disjoint decision slots; per-shard tallies are
-  // aggregated after the join so counter totals are thread-count
+  // Phase B — per-shard service on the pool. Each shard serves its own
+  // admitted list and writes disjoint decision slots; per-shard tallies
+  // are aggregated after the join so counter totals are thread-count
   // invariant.
   std::vector<std::size_t> shard_expired(n_shards, 0);
   std::vector<std::size_t> shard_degraded(n_shards, 0);
   std::vector<std::size_t> shard_degraded_miss(n_shards, 0);
   tp.parallel_for(0, n_shards, 1, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t s = lo; s < hi; ++s) {
-      const std::vector<std::size_t> admitted = queues_[s]->drain();
-      if (admitted.empty()) {
+      if (admitted[s].empty()) {
         continue;
       }
       // A scripted stall is applied as deadline *skew*: the shard acts
@@ -151,29 +117,27 @@ BatchResult ResilientVerifier::verify_batch(std::span<const VerifyRequest> reque
       // depend on which worker observes the stall first.
       const std::int64_t stall = faults_.consume_stall(s);
       if (stall > 0 && deadline.expired_after(stall)) {
-        for (const std::size_t i : admitted) {
+        for (const std::size_t i : admitted[s]) {
           mark_expired(result.decisions[i]);
         }
-        shard_expired[s] += admitted.size();
+        shard_expired[s] += admitted[s].size();
         continue;
       }
       if (breakers_[s]->engaged()) {
-        for (const std::size_t i : admitted) {
+        for (const std::size_t i : admitted[s]) {
           result.decisions[i] =
               degraded_one(s, requests[i], &shard_degraded[s], &shard_degraded_miss[s]);
         }
         continue;
       }
-      engine_.shard(s).verify_coalesced(requests, admitted, result.decisions, deadline);
+      engine_.shard(s).verify_coalesced(requests, admitted[s], result.decisions, deadline);
     }
   });
 
-  for (std::size_t s = 0; s < n_shards; ++s) {
-    expired_count += shard_expired[s];
-  }
   std::size_t degraded_count = 0;
   std::size_t degraded_miss_count = 0;
   for (std::size_t s = 0; s < n_shards; ++s) {
+    expired_count += shard_expired[s];
     degraded_count += shard_degraded[s];
     degraded_miss_count += shard_degraded_miss[s];
   }
@@ -183,17 +147,7 @@ BatchResult ResilientVerifier::verify_batch(std::span<const VerifyRequest> reque
   MANDIPASS_OBS_COUNT_N("auth.resil.degraded", degraded_count);
   MANDIPASS_OBS_COUNT_N("auth.resil.degraded_miss", degraded_miss_count);
 
-  BatchStats& st = result.stats;
-  st.requests = requests.size();
-  for (const BatchDecision& d : result.decisions) {
-    st.known += d.known ? 1 : 0;
-    st.accepted += (d.known && d.decision.accepted) ? 1 : 0;
-    st.unknown += d.status == BatchStatus::Unknown ? 1 : 0;
-    st.invalid += d.status == BatchStatus::Invalid ? 1 : 0;
-    st.expired += d.status == BatchStatus::Expired ? 1 : 0;
-    st.shed += d.status == BatchStatus::Shed ? 1 : 0;
-    st.degraded += d.degraded ? 1 : 0;
-  }
+  result.stats = tally(result.decisions);
   return result;
 }
 

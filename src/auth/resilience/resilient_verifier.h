@@ -4,8 +4,10 @@
 // ShardedVerifier (PR 7) gives throughput; ResilientVerifier gives
 // *containment*. It wraps the 8-shard engine with, per shard:
 //
-//   * a bounded AdmissionQueue — request storms shed the newest arrivals
-//     with typed Overloaded decisions instead of queueing unboundedly;
+//   * bounded admission — each verify_batch call admits at most
+//     queue_capacity requests per shard and sheds the newest arrivals
+//     past that with typed Overloaded decisions instead of queueing
+//     unboundedly;
 //   * a CircuitBreaker driven by the shard's persistence probes
 //     (persist_shard) — while engaged, the shard serves *degraded mode*:
 //     verification restricted to matrices already in the shared
@@ -25,6 +27,8 @@
 // Determinism rules (the chaos bench gates all counters exactly):
 //   * admission (phase A) is serial in request order — shed counts are a
 //     pure function of arrival order and queue capacity;
+//   * admission lists are local to each verify_batch call — concurrent
+//     callers never see, shed or serve each other's requests;
 //   * stalls are deadline skew, not clock advances or sleeps — expiry
 //     counts are independent of worker scheduling;
 //   * per-shard tallies are aggregated after the fan-out join — counter
@@ -40,7 +44,6 @@
 #include <string>
 #include <vector>
 
-#include "auth/resilience/admission_queue.h"
 #include "auth/resilience/backoff.h"
 #include "auth/resilience/circuit_breaker.h"
 #include "auth/resilience/service_fault_injector.h"
@@ -52,7 +55,9 @@
 namespace mandipass::auth::resilience {
 
 struct ResilienceConfig {
-  /// Per-shard admission bound; arrivals past it are shed.
+  /// Admission bound per shard per verify_batch call: within one call,
+  /// a shard's arrivals past the first queue_capacity are shed. Callers
+  /// running concurrently each get their own bound. Precondition: >= 1.
   std::size_t queue_capacity = 4096;
   /// Per-shard breaker tuning.
   CircuitBreakerConfig breaker{};
@@ -89,8 +94,9 @@ class ResilientVerifier {
   /// The owned fault injector (chaos scripting surface).
   ServiceFaultInjector& faults() { return faults_; }
 
-  /// Resilient batch verification. Phase A admits serially in request
-  /// order (deadline check, then bounded per-shard queue; rejects become
+  /// Resilient batch verification; safe to call from several threads at
+  /// once. Phase A admits serially in request order (deadline check,
+  /// then the per-shard queue_capacity bound of this call; rejects become
   /// typed Expired / Shed decisions and count auth.resil.{expired,shed};
   /// admissions count auth.resil.admitted). Phase B fans the shards out
   /// over `pool`: a stalled shard (injector skew) expires its whole
@@ -109,19 +115,18 @@ class ResilientVerifier {
   common::Result<void> persist_shard(std::size_t s, const std::string& path);
 
  private:
-  /// Degraded-mode single verification on shard `s`: same totality gates
-  /// and arithmetic as BatchVerifier::verify_one, but the Gaussian
-  /// matrix comes from MatrixCache::peek — never built. A cache miss is
-  /// a typed Shed/Overloaded decision ("auth.resil.degraded_miss").
+  /// Degraded-mode single verification on shard `s`: the shared
+  /// check_probe / check_template gate, then Verifier::verify, but the
+  /// Gaussian matrix comes from MatrixCache::peek — never built. A cache
+  /// miss is a typed Shed/Overloaded decision ("auth.resil.degraded_miss").
   BatchDecision degraded_one(std::size_t s, const VerifyRequest& request,
                              std::size_t* degraded_served, std::size_t* degraded_missed);
 
   ResilienceConfig config_;
   ShardedVerifier engine_;
   ServiceFaultInjector faults_;
-  /// unique_ptr keeps mutex addresses stable; both vectors immutable
-  /// after construction.
-  std::vector<std::unique_ptr<AdmissionQueue>> queues_;
+  /// unique_ptr keeps mutex addresses stable; immutable after
+  /// construction.
   std::vector<std::unique_ptr<CircuitBreaker>> breakers_;
 };
 

@@ -66,25 +66,6 @@ BatchResult ShardedVerifier::verify_batch(std::span<const VerifyRequest> request
   BatchResult result;
   result.decisions.resize(requests.size());
 
-  // Deadline gate before routing: a batch whose budget is already gone is
-  // answered with typed Expired decisions on the caller thread — no
-  // fan-out, no locks, no GEMM. Mid-batch expiry is handled inside each
-  // shard's verify_coalesced.
-  if (deadline.expired()) {
-    std::vector<std::size_t> all(requests.size());
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      all[i] = i;
-    }
-    if (!shards_.empty() && !all.empty()) {
-      shards_.front()->verify_coalesced(requests, all, result.decisions, deadline);
-    }
-    MANDIPASS_OBS_COUNT_N("auth.shard.verify_total", requests.size());
-    BatchStats& st = result.stats;
-    st.requests = requests.size();
-    st.expired = requests.size();
-    return result;
-  }
-
   // Route: per-shard index lists, in request order. Each index appears in
   // exactly one list, so the shard fan-out below writes disjoint slots of
   // result.decisions and needs no further synchronisation.
@@ -136,25 +117,12 @@ BatchResult ShardedVerifier::verify_batch(std::span<const VerifyRequest> request
   MANDIPASS_OBS_COUNT_N("auth.shard.singleton_requests", total_cs.singletons);
 
   BatchStats& st = result.stats;
-  st.requests = requests.size();
-  st.wall_ms = wall_ms;
-  for (const BatchDecision& d : result.decisions) {
-    st.known += d.known ? 1 : 0;
-    st.accepted += (d.known && d.decision.accepted) ? 1 : 0;
-    st.unknown += d.status == BatchStatus::Unknown ? 1 : 0;
-    st.invalid += d.status == BatchStatus::Invalid ? 1 : 0;
-    st.expired += d.status == BatchStatus::Expired ? 1 : 0;
-    st.shed += d.status == BatchStatus::Shed ? 1 : 0;
-    st.degraded += d.degraded ? 1 : 0;
-  }
+  st = tally(result.decisions, wall_ms);
   if (st.requests > 0) {
     // Coalesced requests have no individual service time; report the
     // amortized per-request cost (shard wall / shard requests) instead.
     st.mean_request_ms = sum_shard_ms / static_cast<double>(st.requests);
     st.max_request_ms = max_amortized_ms;
-  }
-  if (wall_ms > 0.0) {
-    st.throughput_per_s = static_cast<double>(st.requests) * 1000.0 / wall_ms;
   }
   return result;
 }

@@ -91,11 +91,11 @@ class ShardedVerifier {
   /// always answers requests[i]; duplicate user ids are safe (they land
   /// on one shard and are decided against one snapshot).
   ///
-  /// `deadline` bounds the batch: when already expired on entry every
-  /// request short-circuits to a typed Expired decision without routing
-  /// or fan-out, and each shard re-checks it before its GEMM groups
-  /// (BatchVerifier::verify_coalesced). The default is unlimited and
-  /// adds one null check to the fast path.
+  /// `deadline` bounds the batch: each shard's
+  /// BatchVerifier::verify_coalesced answers an expired budget with typed
+  /// Expired decisions before any lock or GEMM, and re-checks it before
+  /// each GEMM group. The default is unlimited and adds one null check to
+  /// the fast path.
   BatchResult verify_batch(std::span<const VerifyRequest> requests,
                            common::ThreadPool* pool = nullptr,
                            const common::Deadline& deadline = {}) const;

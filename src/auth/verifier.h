@@ -6,7 +6,6 @@
 #include <span>
 #include <string>
 
-#include "auth/gaussian_matrix.h"
 #include "auth/metrics.h"
 #include "auth/template_store.h"
 #include "common/result.h"
@@ -27,24 +26,27 @@ class Verifier {
   /// Compares two already-transformed (cancelable) vectors.
   Decision verify(std::span<const float> probe, std::span<const float> reference) const;
 
-  /// Full store-backed flow: transform `raw_probe` with the user's current
-  /// Gaussian matrix and compare against the sealed template. Returns
-  /// nullopt when the user is not enrolled.
-  std::optional<Decision> verify_user(const TemplateStore& store, const std::string& user,
-                                      std::span<const float> raw_probe) const;
-
-  /// Typed-error variant (DESIGN.md §12): total over its inputs. Empty
-  /// probes, non-finite probe values, unknown users and probes whose
-  /// dimension disagrees with the sealed template all come back as a
-  /// structured reject reason instead of throwing or returning nullopt.
-  common::Result<Decision> try_verify_user(const TemplateStore& store, const std::string& user,
-                                           std::span<const float> raw_probe) const;
-
   double threshold() const { return threshold_; }
   void set_threshold(double t);
 
  private:
   double threshold_;
 };
+
+/// The totality gate every verify entry point (facade, batch, shard,
+/// resilient) runs before it transforms a probe (DESIGN.md §12). Each
+/// reject is built with make_error, so it counts its fault.reject.<code>
+/// counter; layer counters stay with the caller.
+///
+/// check_probe: InvalidInput for an empty probe, NonFiniteSample for a
+/// NaN/Inf value.
+common::Result<void> check_probe(std::span<const float> raw_probe);
+
+/// check_template: UnknownUser when `stored` is empty, whatever
+/// `probe_dim` is; DimensionMismatch when the probe and the sealed
+/// template differ in length. The cancelable transform is square, so such
+/// a probe can never match, and cosine_distance would assert on it.
+common::Result<void> check_template(const std::optional<StoredTemplate>& stored,
+                                    const std::string& user, std::size_t probe_dim);
 
 }  // namespace mandipass::auth

@@ -91,15 +91,26 @@ void MandiPass::seal_template(const std::string& user, const std::vector<float>&
 
 common::Result<auth::Decision> MandiPass::try_verify(const std::string& user,
                                                      const imu::RawRecording& recording) {
-  if (!store_.lookup(user).has_value()) {
-    return common::make_error(common::ErrorCode::UnknownUser,
-                              "no enrolment for user '" + user + "'");
+  const auto stored = store_.lookup(user);
+  if (!stored.has_value()) {
+    // Refused before extraction, so an unknown id costs no preprocessing.
+    return auth::check_template(stored, user, 0).error();
   }
   auto print = try_extract_print(recording);
   if (!print.ok()) {
     return print.error();
   }
-  return verifier_.try_verify_user(store_, user, print.value());
+  const std::vector<float>& probe = print.value();
+  if (const auto gate = auth::check_probe(probe); !gate.ok()) {
+    return gate.error();
+  }
+  if (const auto gate = auth::check_template(stored, user, probe.size()); !gate.ok()) {
+    return gate.error();
+  }
+  // The key is rebuilt from its seed on every verify: the device keeps
+  // no matrix cache (a dim-512 matrix is 1 MiB per user).
+  const auth::GaussianMatrix g(stored->matrix_seed, probe.size());
+  return verifier_.verify(g.transform(probe), stored->data);
 }
 
 std::optional<auth::Decision> MandiPass::verify(const std::string& user,

@@ -131,27 +131,27 @@ TEST(BatchVerifier, GenuineAcceptedImpostorRejected) {
   EXPECT_GT(impostor.decision.distance, genuine.decision.distance);
 }
 
-TEST(BatchVerifier, MatchesVerifierVerifyUser) {
-  // The concurrent engine must agree bit-for-bit with the serial
-  // store-backed flow (which rebuilds the Gaussian matrix per call —
-  // the engine's cache must not change the math).
+TEST(BatchVerifier, MatchesFreshTransformOracle) {
+  // The concurrent engine must agree bit-for-bit with the public-call
+  // oracle: a freshly built Gaussian matrix and Verifier::verify against
+  // the snapshot (the engine's matrix cache must not change the math).
   BatchVerifier engine;
-  TemplateStore store;
-  Verifier verifier;
   Rng rng(3);
   const auto print = random_print(rng);
-  const auto tmpl = make_template(print, 123, 4);
-  engine.enroll("u", tmpl);
-  store.enroll("u", tmpl);
+  engine.enroll("u", make_template(print, 123, 4));
 
   auto probe = print;
   probe[0] += 0.25f;
   const BatchDecision d = engine.verify_one("u", probe);
-  const auto reference = verifier.verify_user(store, "u", probe);
+  const auto snap = engine.snapshot("u");
+  ASSERT_TRUE(snap.has_value());
+  const Decision reference =
+      Verifier(engine.threshold())
+          .verify(GaussianMatrix(snap->matrix_seed, probe.size()).transform(probe), snap->data);
   ASSERT_TRUE(d.known);
-  ASSERT_TRUE(reference.has_value());
-  EXPECT_EQ(d.decision.accepted, reference->accepted);
-  EXPECT_EQ(d.decision.distance, reference->distance);
+  EXPECT_EQ(d.key_version, 4u);
+  EXPECT_EQ(d.decision.accepted, reference.accepted);
+  EXPECT_EQ(d.decision.distance, reference.distance);
 }
 
 TEST(BatchVerifier, RevokeAndRekey) {

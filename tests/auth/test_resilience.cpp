@@ -1,9 +1,9 @@
-// Overload-resilience layer (DESIGN.md §17): admission-queue bounds,
-// deterministic retry backoff through the capturing sleep hook, the
-// bounded/integrity-checked MatrixCache, deadline propagation through the
-// sharded engine, and the full ResilientVerifier taxonomy — shed counts
-// exact by arrival order, stall-skew expiry, degraded-mode serving with
-// bit-identical distances, and breaker-gated persistence with recovery.
+// Overload-resilience layer (DESIGN.md §17): deterministic retry backoff
+// through the capturing sleep hook, the bounded/integrity-checked
+// MatrixCache, deadline propagation through the sharded engine, and the
+// full ResilientVerifier taxonomy — shed counts exact by arrival order,
+// stall-skew expiry, degraded-mode serving with bit-identical distances,
+// and breaker-gated persistence with recovery.
 #include "auth/resilience/resilient_verifier.h"
 
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@
 #include "auth/batch_verifier.h"
 #include "auth/gaussian_matrix.h"
 #include "auth/matrix_cache.h"
-#include "auth/resilience/admission_queue.h"
 #include "auth/resilience/backoff.h"
 #include "auth/sharded_verifier.h"
 #include "common/deadline.h"
@@ -89,26 +88,6 @@ void clean_disk(const std::string& path) {
   std::remove((path + ".tmp").c_str());
   std::remove((path + ".bak").c_str());
   std::remove((path + ".bak.tmp").c_str());
-}
-
-// ---------------------------------------------------------------- queue
-
-TEST(AdmissionQueue, BoundsAndDrainsInFifoOrder) {
-  AdmissionQueue q(3);
-  EXPECT_EQ(q.capacity(), 3u);
-  EXPECT_EQ(q.size(), 0u);
-  EXPECT_TRUE(q.try_push(10));
-  EXPECT_TRUE(q.try_push(11));
-  EXPECT_TRUE(q.try_push(12));
-  EXPECT_EQ(q.size(), 3u);
-  EXPECT_FALSE(q.try_push(13));  // reject-newest: the bound holds
-  EXPECT_EQ(q.size(), 3u);
-  const std::vector<std::size_t> drained = q.drain();
-  EXPECT_EQ(drained, (std::vector<std::size_t>{10, 11, 12}));
-  EXPECT_EQ(q.size(), 0u);
-  // The queue is reusable after a drain.
-  EXPECT_TRUE(q.try_push(13));
-  EXPECT_EQ(q.drain(), std::vector<std::size_t>{13});
 }
 
 // -------------------------------------------------------------- backoff

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "auth/gaussian_matrix.h"
 #include "common/error.h"
 #include "common/rng.h"
 
@@ -54,59 +53,6 @@ TEST(Verifier, SetThresholdValidated) {
   EXPECT_THROW(v.set_threshold(-0.1), PreconditionError);
   EXPECT_THROW(v.set_threshold(2.5), PreconditionError);
   EXPECT_THROW(Verifier(3.0), PreconditionError);
-}
-
-TEST(Verifier, StoreBackedFlowAcceptsGenuine) {
-  TemplateStore store;
-  const auto print = random_print(64, 2);
-  const std::uint64_t seed = 99;
-  const GaussianMatrix g(seed, 64);
-  StoredTemplate t;
-  t.data = g.transform(print);
-  t.matrix_seed = seed;
-  store.enroll("alice", t);
-
-  const Verifier v(0.2);
-  // Genuine probe: a small perturbation of the enrolled print.
-  auto probe = print;
-  Rng rng(3);
-  for (auto& x : probe) {
-    x += static_cast<float>(rng.normal(0.0, 0.01));
-  }
-  const auto d = v.verify_user(store, "alice", probe);
-  ASSERT_TRUE(d.has_value());
-  EXPECT_TRUE(d->accepted);
-}
-
-TEST(Verifier, StoreBackedFlowRejectsStranger) {
-  TemplateStore store;
-  const auto print = random_print(64, 4);
-  const std::uint64_t seed = 77;
-  const GaussianMatrix g(seed, 64);
-  StoredTemplate t;
-  t.data = g.transform(print);
-  t.matrix_seed = seed;
-  store.enroll("alice", t);
-
-  const Verifier v(0.2);
-  // A stranger's print: independent zero-mean vector (two uniform [0,1)
-  // vectors would share their positive DC component and land at cosine
-  // distance ~0.25, which is not what a trained extractor produces for
-  // impostors).
-  Rng rng(5);
-  std::vector<float> stranger(64);
-  for (auto& x : stranger) {
-    x = static_cast<float>(rng.normal());
-  }
-  const auto d = v.verify_user(store, "alice", stranger);
-  ASSERT_TRUE(d.has_value());
-  EXPECT_FALSE(d->accepted);
-}
-
-TEST(Verifier, UnknownUserIsNullopt) {
-  TemplateStore store;
-  const Verifier v;
-  EXPECT_FALSE(v.verify_user(store, "ghost", random_print(8, 6)).has_value());
 }
 
 }  // namespace

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
+#include "auth/gaussian_matrix.h"
 #include "common/error.h"
 
 namespace mandipass::core {
@@ -53,6 +55,30 @@ TEST_F(MandiPassTest, VerifyKnownUserReturnsDecision) {
   ASSERT_TRUE(d.has_value());
   EXPECT_GE(d->distance, 0.0);
   EXPECT_LE(d->distance, 2.0);
+}
+
+// The facade's typed path refuses a template of another dimension (a
+// throw would fail the test); the legacy wrapper raises it. An unknown
+// user stays UnknownUser / nullopt.
+TEST_F(MandiPassTest, TryVerifyRejectsTypedAndVerifyRaises) {
+  MandiPass mp(extractor_);
+  const auto person = pop_.sample();
+  const auto rec = record(person);
+  const std::vector<float> other_dim_print(16, 0.5f);  // the extractor emits 32
+  auth::StoredTemplate tmpl;
+  tmpl.data = auth::GaussianMatrix(5, other_dim_print.size()).transform(other_dim_print);
+  tmpl.matrix_seed = 5;
+  mp.store().enroll("alice", tmpl);
+
+  const auto mismatch = mp.try_verify("alice", rec);
+  ASSERT_FALSE(mismatch.ok());
+  EXPECT_EQ(mismatch.code(), common::ErrorCode::DimensionMismatch);
+  EXPECT_THROW(mp.verify("alice", rec), SignalError);
+
+  const auto unknown = mp.try_verify("ghost", rec);
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.code(), common::ErrorCode::UnknownUser);
+  EXPECT_FALSE(mp.verify("ghost", rec).has_value());
 }
 
 TEST_F(MandiPassTest, RekeyChangesMatrixSeedAndBumpsVersion) {

@@ -7,6 +7,7 @@
 #include <memory>
 #include <sstream>
 
+#include "auth/gaussian_matrix.h"
 #include "common/error.h"
 #include "core/mandipass.h"
 #include "core/preprocessor.h"

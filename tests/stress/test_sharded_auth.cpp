@@ -12,6 +12,10 @@
 // generation bit-for-bit. A torn read — template floats from one
 // generation, seed/version from another, or a coalesced tile mixing
 // snapshots — cannot reproduce any expected distance.
+//
+// The resilient wrapper gets the same treatment for its callers:
+// concurrent verify_batch calls on one ResilientVerifier must each be
+// decided exactly as a lone caller's would be.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,6 +24,7 @@
 #include <vector>
 
 #include "auth/gaussian_matrix.h"
+#include "auth/resilience/resilient_verifier.h"
 #include "auth/sharded_verifier.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -240,6 +245,71 @@ TEST(ShardedAuthStress, DuplicateHeavyBatchesUnderChurnStayOrdered) {
   common::ThreadPool::set_global_threads(1);
 
   EXPECT_EQ(misplaced.load(), 0u);
+}
+
+// Two callers share one ResilientVerifier, each calling verify_batch over
+// and over with its own batch (64 requests and 3). Admission is per call,
+// so every decision must equal the one the same batch gets from a lone
+// caller. The capacity sheds part of the big batch on every call, so a
+// bound or an index list leaking between callers changes which requests
+// shed — or writes past the small caller's decision vector.
+TEST(ShardedAuthStress, ConcurrentResilientCallersMatchALoneCaller) {
+  resilience::ResilienceConfig config;
+  config.queue_capacity = 6;
+  resilience::ResilientVerifier service(kShards, config);
+  std::vector<UserFixture> fixtures;
+  for (std::size_t u = 0; u < kUsers; ++u) {
+    fixtures.push_back(make_user_fixture(u));
+    service.enroll(user_name(u), fixtures[u].generations[0].tmpl);
+  }
+  const auto make_batch = [&](std::size_t n, std::size_t first_user) {
+    std::vector<VerifyRequest> batch;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t u = (first_user + i) % kUsers;
+      batch.push_back({user_name(u), fixtures[u].probe});
+    }
+    return batch;
+  };
+  const std::vector<std::vector<VerifyRequest>> batches = {make_batch(64, 0), make_batch(3, 5)};
+  std::vector<BatchResult> lone;
+  for (const auto& batch : batches) {
+    lone.push_back(service.verify_batch(batch));
+  }
+  ASSERT_GT(lone[0].stats.shed, 0u);  // the capacity bites on the big batch
+  ASSERT_GT(lone[0].stats.known, 0u);
+  ASSERT_EQ(lone[1].stats.known, 3u);
+
+  constexpr std::size_t kRounds = 200;
+  std::atomic<std::size_t> mismatched{0};
+  common::ThreadPool::set_global_threads(4);
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < batches.size(); ++c) {
+    callers.emplace_back([&, c] {
+      for (std::size_t round = 0; round < kRounds; ++round) {
+        const BatchResult got = service.verify_batch(batches[c]);
+        const std::vector<BatchDecision>& want = lone[c].decisions;
+        if (got.decisions.size() != want.size()) {
+          mismatched.fetch_add(1, std::memory_order_relaxed);
+          continue;
+        }
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          const BatchDecision& d = got.decisions[i];
+          if (d.status != want[i].status || d.reason != want[i].reason ||
+              d.known != want[i].known || d.key_version != want[i].key_version ||
+              d.degraded != want[i].degraded ||
+              d.decision.distance != want[i].decision.distance) {
+            mismatched.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : callers) {
+    t.join();
+  }
+  common::ThreadPool::set_global_threads(1);
+
+  EXPECT_EQ(mismatched.load(), 0u);
 }
 
 }  // namespace
