@@ -30,44 +30,6 @@ job_build_werror() {
     ctest --preset default -j "$JOBS"
 }
 
-job_bench_smoke() {
-  MANDIPASS_BENCH_QUICK=1 build/bench/bench_fig5_onset \
-    --json build/BENCH_bench_fig5_onset.json &&
-    build/tools/bench_compare --skip-latency \
-      bench/baselines/bench_fig5_onset.quick.json \
-      build/BENCH_bench_fig5_onset.json &&
-    MANDIPASS_BENCH_QUICK=1 build/bench/bench_faults \
-      --json build/BENCH_bench_faults.json &&
-    build/tools/bench_compare --skip-latency \
-      bench/baselines/bench_faults.quick.json \
-      build/BENCH_bench_faults.json &&
-    MANDIPASS_BENCH_QUICK=1 build/bench/bench_throughput \
-      --json build/BENCH_bench_throughput.json &&
-    build/tools/bench_compare --skip-latency --skip-counters \
-      bench/baselines/bench_throughput.quick.json \
-      build/BENCH_bench_throughput.json &&
-    MANDIPASS_BENCH_QUICK=1 build/bench/bench_service \
-      --json build/BENCH_bench_service.json &&
-    build/tools/bench_compare --skip-latency \
-      bench/baselines/bench_service.quick.json \
-      build/BENCH_bench_service.json &&
-    MANDIPASS_BENCH_QUICK=1 build/bench/bench_attacks \
-      --json build/BENCH_bench_attacks.json &&
-    build/tools/bench_compare --skip-latency \
-      bench/baselines/bench_attacks.quick.json \
-      build/BENCH_bench_attacks.json &&
-    MANDIPASS_BENCH_QUICK=1 build/bench/bench_chaos \
-      --json build/BENCH_bench_chaos.json &&
-    build/tools/bench_compare --skip-latency \
-      bench/baselines/bench_chaos.quick.json \
-      build/BENCH_bench_chaos.json &&
-    MANDIPASS_BENCH_QUICK=1 build/bench/bench_quantized \
-      --json build/BENCH_bench_quantized.json &&
-    build/tools/bench_compare --skip-latency \
-      bench/baselines/bench_quantized.quick.json \
-      build/BENCH_bench_quantized.json
-}
-
 # Mirrors the perfbench CI job: builds the serving benchmark (a stand-alone
 # CMake project over the library targets) into build/perfbench and runs
 # its self-test, so an API change that breaks the benchmark fails CI.
@@ -118,7 +80,7 @@ job_chaos_asan() {
 }
 
 run_job "build-werror"  job_build_werror
-run_job "bench-smoke"   job_bench_smoke
+run_job "bench-smoke"   scripts/bench_smoke.sh
 run_job "perfbench"     job_perfbench
 run_job "no-obs"        job_no_obs
 run_job "no-simd"       job_no_simd

@@ -13,18 +13,34 @@ MatrixCache::MatrixCache(MatrixCacheConfig config) : config_(config) {
 
 std::shared_ptr<const GaussianMatrix> MatrixCache::get(std::uint64_t seed, std::size_t dim) {
   MANDIPASS_EXPECTS(dim > 0);
+  // Find and splice under the lock, then verify the copied matrix
+  // against its copied CRC after releasing it, so concurrent lookups run
+  // their CRC passes in parallel.
+  std::shared_ptr<const GaussianMatrix> found;
+  std::uint32_t recorded = 0;
   {
     MutexLock lock(mutex_);
     const auto it = cache_.find(seed);
     if (it != cache_.end() && it->second.matrix->dim() == dim) {
-      if (it->second.matrix->checksum() == it->second.crc) {
-        MANDIPASS_OBS_COUNT("auth.batch.matrix_cache_hits");
-        recency_.splice(recency_.begin(), recency_, it->second.lru);
-        return it->second.matrix;
-      }
-      // Poisoned: the packed bytes no longer match the CRC recorded at
-      // insert. Drop the entry and fall through to the rebuild-from-seed
-      // miss path — the seed is the ground truth, so the cache self-heals.
+      found = it->second.matrix;
+      recorded = it->second.crc;
+      recency_.splice(recency_.begin(), recency_, it->second.lru);
+    }
+  }
+  if (found != nullptr) {
+    if (found->checksum() == recorded) {
+      MANDIPASS_OBS_COUNT("auth.batch.matrix_cache_hits");
+      return found;
+    }
+    // Poisoned: the packed bytes no longer match the CRC recorded at
+    // insert. Drop the entry and fall through to the rebuild-from-seed
+    // miss path — the seed is the ground truth, so the cache self-heals.
+    // Only the lookup that still finds this very matrix and CRC drops
+    // and counts it: concurrent lookups that saw the same poisoned entry
+    // find it gone or rebuilt, so one poisoning counts once.
+    MutexLock lock(mutex_);
+    const auto it = cache_.find(seed);
+    if (it != cache_.end() && it->second.matrix == found && it->second.crc == recorded) {
       MANDIPASS_OBS_COUNT("auth.matrix_cache.poison_detected");
       recency_.erase(it->second.lru);
       cache_.erase(it);
@@ -54,16 +70,22 @@ std::shared_ptr<const GaussianMatrix> MatrixCache::get(std::uint64_t seed, std::
 std::shared_ptr<const GaussianMatrix> MatrixCache::peek(std::uint64_t seed,
                                                         std::size_t dim) const {
   MANDIPASS_EXPECTS(dim > 0);
-  MutexLock lock(mutex_);
-  const auto it = cache_.find(seed);
-  if (it == cache_.end() || it->second.matrix->dim() != dim) {
-    return nullptr;
+  std::shared_ptr<const GaussianMatrix> found;
+  std::uint32_t recorded = 0;
+  {
+    MutexLock lock(mutex_);
+    const auto it = cache_.find(seed);
+    if (it == cache_.end() || it->second.matrix->dim() != dim) {
+      return nullptr;
+    }
+    found = it->second.matrix;
+    recorded = it->second.crc;
   }
-  if (it->second.matrix->checksum() != it->second.crc) {
+  if (found->checksum() != recorded) {
     MANDIPASS_OBS_COUNT("auth.matrix_cache.poison_detected");
     return nullptr;
   }
-  return it->second.matrix;
+  return found;
 }
 
 std::size_t MatrixCache::size() const {

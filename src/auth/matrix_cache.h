@@ -15,8 +15,8 @@
 // Out-standing shared_ptrs keep an evicted matrix alive for callers that
 // already hold it; only the cache's reference is dropped.
 //
-// Integrity (PR 9): each entry records the CRC32 of its packed kernel
-// bytes at insert and re-verifies on every hit — one CRC pass per *group*
+// Integrity: each entry records the CRC32 of its packed kernel bytes at
+// insert and re-verifies on every lookup — one CRC pass per *group*
 // lookup (not per request) on the coalesced path. A mismatch means the
 // shared in-memory matrix was corrupted after publication (stray write,
 // poisoning) — a silent wrong-answer factory for every shard. Detection
@@ -25,13 +25,20 @@
 // cache self-heals instead of serving poisoned transforms.
 //
 // Concurrency: the LRU list makes every lookup a structural mutation, so
-// the shared/exclusive split of the old design is gone — one Mutex guards
-// map + recency list (hit sections are short: a find, a CRC over the
-// packed buffer, a splice). A miss still builds the matrix OUTSIDE the
-// lock (the expensive part) and publishes under it; losing a publish race
-// is harmless — both racers built identical matrices from the same seed.
-// The containers are MANDIPASS_GUARDED_BY(mutex_) and the contract is
-// compiler-checked under the tsafety preset (DESIGN.md §14).
+// one Mutex guards map + recency list. A lookup holds it only for the
+// find and, in get, the recency splice: it copies the entry's shared_ptr
+// and recorded CRC, releases the lock and runs the CRC pass over the
+// copy, so concurrent lookups (shard lanes verifying their groups) run
+// their CRC passes in parallel instead of queueing on the one lock. The
+// copy keeps the matrix alive even if the entry is evicted meanwhile.
+// On a mismatch get re-locks and drops the entry only if it still holds
+// that same matrix and CRC — lookups that raced on one poisoned entry
+// find it gone or already rebuilt — so one poisoning counts once. A miss
+// builds the matrix OUTSIDE the lock (the expensive part) and publishes
+// under it; losing a publish race is harmless — both racers built
+// identical matrices from the same seed. The containers are
+// MANDIPASS_GUARDED_BY(mutex_) and the contract is compiler-checked
+// under the tsafety preset (DESIGN.md §14).
 #pragma once
 
 #include <cstdint>

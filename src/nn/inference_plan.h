@@ -30,8 +30,8 @@
 // serially, so results are bit-identical for any thread count and for
 // single- vs batched extraction.
 // The quantized variant (DESIGN.md §18) compiles the same frozen branch
-// into an int8 plan: the BN fold happens identically (shared
-// fold_conv_bn), then each folded weight matrix is quantized per-row to
+// into an int8 plan: the BN fold uses the same formula (fold_conv_bn's),
+// then each folded weight matrix is quantized per-row to
 // int8 and pre-packed in 16-channel blocks of 4-tap groups for the
 // integer dot-product kernels (qgemm_*.cpp: AVX-512 VNNI vpdpbusd, AVX2
 // vpmaddubsw+vpmaddwd, NEON vdotq_s32, and a generic contract-defining
@@ -210,8 +210,8 @@ struct FoldedConv {
 
 /// Folds `bn`'s affine (off its running statistics) into `conv`'s
 /// weights and bias, in double: w' = w * s, b' = (b - mean) * s + beta
-/// with s = gamma / sqrt(var + eps). Shared by the float and int8 plan
-/// compilers so both paths fold identically.
+/// with s = gamma / sqrt(var + eps). Used by the float plan compiler;
+/// core::QuantizedExtractor folds with the same formula at construction.
 FoldedConv fold_conv_bn(Conv2d& conv, BatchNorm2d& bn);
 
 /// One fused Conv+BN+ReLU stage of a compiled branch.
@@ -358,12 +358,6 @@ struct QuantizedConvSpec {
 class QuantizedInferencePlan {
  public:
   QuantizedInferencePlan() = default;
-
-  /// Folds + quantizes a trained [Conv2d, BatchNorm2d, ReLU] x N
-  /// (+ Flatten) branch, like InferencePlan::compile but emitting int8
-  /// stages.
-  static QuantizedInferencePlan compile(Sequential& branch, std::size_t h_in,
-                                        std::size_t w_in);
 
   /// Compiles from pre-quantized weights (the QuantizedExtractor path,
   /// whose layers are already folded + quantized at construction).

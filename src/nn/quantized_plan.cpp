@@ -10,12 +10,9 @@
 #include <cstring>
 
 #include "common/error.h"
-#include "nn/batchnorm.h"
 #include "nn/conv2d.h"
 #include "nn/inference_plan.h"
-#include "nn/layers.h"
 #include "nn/qgemm_kernels.h"
-#include "nn/sequential.h"
 
 namespace mandipass::nn {
 
@@ -271,41 +268,6 @@ QuantizedInferencePlan::Stage make_quantized_stage(const Conv2dConfig& cc,
 }
 
 }  // namespace
-
-QuantizedInferencePlan QuantizedInferencePlan::compile(Sequential& branch,
-                                                       std::size_t h_in,
-                                                       std::size_t w_in) {
-  QuantizedInferencePlan plan;
-  const std::size_t count = branch.layer_count();
-  std::size_t h = h_in;
-  std::size_t w = w_in;
-  std::size_t i = 0;
-  while (i + 2 < count) {
-    auto* conv = dynamic_cast<Conv2d*>(&branch.layer(i));
-    auto* bn = dynamic_cast<BatchNorm2d*>(&branch.layer(i + 1));
-    auto* relu = dynamic_cast<ReLU*>(&branch.layer(i + 2));
-    if (conv == nullptr || bn == nullptr || relu == nullptr) {
-      break;
-    }
-    const FoldedConv folded = fold_conv_bn(*conv, *bn);
-    Tensor wt({folded.out_channels, folded.taps});
-    std::copy(folded.weights.begin(), folded.weights.end(), wt.data());
-    const QuantizedMatrix q = quantize_rows(wt);
-    Stage stage = make_quantized_stage(conv->config(), q, folded.bias.data(), h, w);
-    h = stage.h_out;
-    w = stage.w_out;
-    plan.stages_.push_back(std::move(stage));
-    i += 3;
-  }
-  const bool tail_ok =
-      i == count || (i + 1 == count && dynamic_cast<Flatten*>(&branch.layer(i)) != nullptr);
-  if (plan.stages_.empty() || !tail_ok) {
-    throw ShapeError(
-        "QuantizedInferencePlan::compile expects [Conv2d, BatchNorm2d, ReLU] triples + "
-        "optional Flatten");
-  }
-  return plan;
-}
 
 QuantizedInferencePlan QuantizedInferencePlan::compile(
     std::span<const QuantizedConvSpec> specs, std::size_t h_in, std::size_t w_in) {
