@@ -20,8 +20,10 @@
 #   scripts/check.sh           # everything
 #   scripts/check.sh --fast    # skip the sanitizer builds (steps 4-5)
 #
-# Exits non-zero on the first failing step.
-set -euo pipefail
+# Every step runs even after an earlier one fails, so one red gate cannot
+# hide the results of the gates after it; the script exits non-zero at
+# the end if any step failed, naming each one.
+set -uo pipefail
 
 REPO="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "$REPO"
@@ -33,47 +35,62 @@ fi
 
 JOBS="$(nproc 2>/dev/null || echo 2)"
 
-step() {
+FAILED=()
+
+# run_step NAME CMD...: runs one gate; a failure is recorded, not fatal.
+run_step() {
+  local name="$1"
+  shift
   echo
-  echo "==== check.sh: $* ===="
+  echo "==== check.sh: $name ===="
+  "$@" || FAILED+=("$name")
 }
 
-step "default build (warnings-as-errors) + ctest"
-cmake --preset default >/dev/null
-cmake --build --preset default -j "$JOBS"
-ctest --preset default -j "$JOBS"
-
-step "bench smoke + bench_compare vs committed baselines"
-scripts/bench_smoke.sh
+step_default() {
+  cmake --preset default >/dev/null &&
+    cmake --build --preset default -j "$JOBS" &&
+    ctest --preset default -j "$JOBS"
+}
 
 # perfbench/ (run by BENCHMARK.json) is a stand-alone CMake project over
 # the library targets and calls the public auth/core entry points, so
 # building it here catches an API change that would break the benchmark.
-step "serving benchmark build + self-test"
-CARGO_TARGET_DIR=build python3 perfbench/run.py --test
+step_perfbench() {
+  CARGO_TARGET_DIR=build python3 perfbench/run.py --test
+}
 
+step_asan() {
+  cmake --preset asan >/dev/null &&
+    cmake --build --preset asan -j "$JOBS" &&
+    ctest --preset asan -j "$JOBS"
+}
+
+step_tsan() {
+  cmake --preset tsan >/dev/null &&
+    cmake --build --preset tsan -j "$JOBS" &&
+    ctest --preset tsan -j "$JOBS"
+}
+
+run_step "default build (warnings-as-errors) + ctest" step_default
+run_step "bench smoke + bench_compare vs committed baselines" scripts/bench_smoke.sh
+run_step "serving benchmark build + self-test" step_perfbench
 if [ "$FAST" -eq 0 ]; then
-  step "ASan+UBSan build + ctest"
-  cmake --preset asan >/dev/null
-  cmake --build --preset asan -j "$JOBS"
-  ctest --preset asan -j "$JOBS"
-
-  step "TSan build + ctest"
-  cmake --preset tsan >/dev/null
-  cmake --build --preset tsan -j "$JOBS"
-  ctest --preset tsan -j "$JOBS"
+  run_step "ASan+UBSan build + ctest" step_asan
+  run_step "TSan build + ctest" step_tsan
 else
-  step "sanitizer builds SKIPPED (--fast)"
+  echo
+  echo "==== check.sh: sanitizer builds SKIPPED (--fast) ===="
 fi
-
-step "clang-tidy"
-scripts/run_tidy.sh
-
-step "thread-safety analysis"
-scripts/tsafety.sh
-
-step "mandilint"
-scripts/lint.sh
+run_step "clang-tidy" scripts/run_tidy.sh
+run_step "thread-safety analysis" scripts/tsafety.sh
+run_step "mandilint" scripts/lint.sh
 
 echo
+if [ "${#FAILED[@]}" -ne 0 ]; then
+  echo "check.sh: FAILED steps:" >&2
+  for name in "${FAILED[@]}"; do
+    echo "  - $name" >&2
+  done
+  exit 1
+fi
 echo "check.sh: all gates passed"

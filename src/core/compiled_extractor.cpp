@@ -1,101 +1,94 @@
 #include "core/compiled_extractor.h"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "common/error.h"
 #include "common/obs.h"
 #include "common/thread_pool.h"
 #include "core/extractor.h"
 #include "nn/layers.h"
-#include "nn/linear.h"
 #include "nn/sequential.h"
 
 namespace mandipass::core {
 
-CompiledExtractor::CompiledExtractor(BiometricExtractor& source)
-    : axes_(source.config().axes), half_(source.config().half_length) {
-  MANDIPASS_OBS_TRACE(trace_compile, "nn.plan.compile_us");
-  branch_pos_ = nn::InferencePlan::compile(source.branch_positive(), axes_, half_);
-  branch_neg_ = nn::InferencePlan::compile(source.branch_negative(), axes_, half_);
-  MANDIPASS_EXPECTS(branch_pos_.feature_count() == source.branch_flat_features());
-  MANDIPASS_EXPECTS(branch_neg_.feature_count() == source.branch_flat_features());
-
-  nn::Sequential& trunk = source.trunk();
-  auto* linear =
-      trunk.layer_count() >= 1 ? dynamic_cast<nn::Linear*>(&trunk.layer(0)) : nullptr;
-  auto* sigmoid =
-      trunk.layer_count() == 2 ? dynamic_cast<nn::Sigmoid*>(&trunk.layer(1)) : nullptr;
-  if (linear == nullptr || sigmoid == nullptr) {
-    throw ShapeError(  // mandilint: allow(no-throw-in-datapath) -- deploy-time model compilation
-        "CompiledExtractor expects a Linear -> Sigmoid trunk");
-  }
-  const std::vector<nn::Param*> lp = linear->params();
-  fc_.pack_rows(lp[0]->value.data(), lp[1]->value.data(), linear->out_features(),
-                linear->in_features());
-  MANDIPASS_EXPECTS(fc_.cols() == 2 * branch_pos_.feature_count());
-}
-
-void CompiledExtractor::embed_one(const float* pos_plane, const float* neg_plane, float* out,
-                                  nn::ScratchArena& arena) const {
-  const std::size_t flat = branch_pos_.feature_count();
-  float* concat = arena.alloc(2 * flat);
-  branch_pos_.run(pos_plane, concat, arena);
-  branch_neg_.run(neg_plane, concat + flat, arena);
-  fc_.run(concat, out, 1, nn::Epilogue::Sigmoid);
-  MANDIPASS_OBS_COUNT("nn.plan.fused_forwards");
-}
-
 namespace {
 
-/// Packs the first `axes` axes of one direction into a dense (axes, half)
-/// float plane — the pack_branches layout, minus the Tensor and the
-/// intermediate GradientArray copy.
-void pack_plane(const std::array<std::vector<double>, imu::kAxisCount>& axis_data,
-                std::size_t axes, std::size_t half, float* plane) {
-  for (std::size_t a = 0; a < axes; ++a) {
-    const double* src = axis_data[a].data();
-    float* dst = plane + a * half;
-    for (std::size_t w = 0; w < half; ++w) {
-      dst[w] = static_cast<float>(src[w]);
-    }
-  }
-}
+/// The int8 instance reports under nn.qplan.*, the float one under nn.plan.*.
+template <typename TrunkGemm>
+constexpr bool kInt8 = std::is_same_v<TrunkGemm, nn::PackedQuantizedGemm>;
 
 }  // namespace
 
-std::vector<float> CompiledExtractor::extract(const GradientArray& array) const {
-  MANDIPASS_EXPECTS(array.half_length() == half_);
-  MANDIPASS_OBS_COUNT("core.extractor.samples");
+template <typename BranchPlan, typename TrunkGemm>
+TiledExtractor<BranchPlan, TrunkGemm>::TiledExtractor(std::size_t axes, std::size_t half,
+                                                      BranchPlan positive, BranchPlan negative,
+                                                      TrunkGemm trunk)
+    : axes_(axes),
+      half_(half),
+      positive_(std::move(positive)),
+      negative_(std::move(negative)),
+      trunk_(std::move(trunk)) {
+  MANDIPASS_EXPECTS(positive_.input_count() == plane_count() &&
+                    negative_.input_count() == plane_count());
+  MANDIPASS_EXPECTS(positive_.feature_count() == negative_.feature_count());
+  MANDIPASS_EXPECTS(trunk_.cols() == 2 * positive_.feature_count());
+}
+
+template <typename BranchPlan, typename TrunkGemm>
+void TiledExtractor<BranchPlan, TrunkGemm>::embed_tile(const GradientArray* arrays,
+                                                       std::size_t count, float* out,
+                                                       nn::ScratchArena& arena) const {
+  const std::size_t flat = positive_.feature_count();
+  float* concat = arena.alloc(count * 2 * flat);
+  for (std::size_t p = 0; p < count; ++p) {
+    float* pos_plane = arena.alloc(plane_count());
+    float* neg_plane = arena.alloc(plane_count());
+    pack_plane(arrays[p].positive, axes_, half_, pos_plane);
+    pack_plane(arrays[p].negative, axes_, half_, neg_plane);
+    float* c = concat + p * 2 * flat;
+    positive_.run(pos_plane, c, arena);
+    negative_.run(neg_plane, c + flat, arena);
+  }
+  if constexpr (kInt8<TrunkGemm>) {
+    trunk_.run(concat, count, 2 * flat, out, count, nn::Epilogue::Sigmoid, arena);
+  } else {
+    trunk_.run(concat, count, 2 * flat, out, count, nn::Epilogue::Sigmoid);
+  }
+  MANDIPASS_OBS_COUNT_N(kInt8<TrunkGemm> ? "nn.qplan.fused_forwards" : "nn.plan.fused_forwards",
+                        count);
+}
+
+template <typename BranchPlan, typename TrunkGemm>
+std::vector<float> TiledExtractor<BranchPlan, TrunkGemm>::extract(
+    const GradientArray& array) const {
+  expect_branch_shape(array, axes_, half_);
   nn::ScratchArena& arena = nn::thread_scratch_arena();
   arena.assert_owner();  // thread_local, so trivially ours; claims the capability
   arena.reset();
-  float* pos_plane = arena.alloc(plane_count());
-  float* neg_plane = arena.alloc(plane_count());
-  pack_plane(array.positive, axes_, half_, pos_plane);
-  pack_plane(array.negative, axes_, half_, neg_plane);
+  // A one-sample tile's (embedding_dim, 1) output is the embedding itself.
   std::vector<float> out(embedding_dim());
-  embed_one(pos_plane, neg_plane, out.data(), arena);
+  embed_tile(&array, 1, out.data(), arena);
   return out;
 }
 
-std::vector<std::vector<float>> CompiledExtractor::extract_batch(
+template <typename BranchPlan, typename TrunkGemm>
+std::vector<std::vector<float>> TiledExtractor<BranchPlan, TrunkGemm>::extract_batch(
     std::span<const GradientArray> arrays) const {
-  MANDIPASS_OBS_TRACE_SAMPLED(trace_batch, "core.extractor.embed_us", 4);
   // Validate up front, on the caller: precondition failures must not fire
   // on pool workers mid-batch.
   for (const GradientArray& a : arrays) {
-    MANDIPASS_EXPECTS(a.half_length() == half_);
+    expect_branch_shape(a, axes_, half_);
   }
-  MANDIPASS_OBS_COUNT_N("core.extractor.samples", arrays.size());
   std::vector<std::vector<float>> out(arrays.size());
   const std::size_t dim = embedding_dim();
-  const std::size_t flat = branch_pos_.feature_count();
   // Samples are processed in tiles of kSampleTile: the tile's branch
-  // features are gathered into one concat matrix, then a single fc_.run
-  // streams the (large) packed trunk weights once per tile instead of
-  // once per sample — the trunk is memory-bound, so this amortization is
-  // where most of the batch throughput comes from. Per output element the
-  // accumulation order is tile-size-invariant, so results stay
+  // features are gathered into one concat matrix, then a single trunk
+  // GEMM streams the (large) packed trunk weights once per tile instead
+  // of once per sample — the trunk is memory-bound, so this amortization
+  // is where most of the batch throughput comes from. Per output element
+  // the arithmetic is tile-size-invariant (ascending-k float accumulation;
+  // per-vector int8 activation quantization), so results stay
   // bit-identical to extract() and to any other batch/thread split.
   common::parallel_for(0, arrays.size(), kSampleTile, [&](std::size_t lo, std::size_t hi) {
     nn::ScratchArena& arena = nn::thread_scratch_arena();
@@ -103,29 +96,52 @@ std::vector<std::vector<float>> CompiledExtractor::extract_batch(
     for (std::size_t base = lo; base < hi; base += kSampleTile) {
       const std::size_t count = std::min(kSampleTile, hi - base);
       arena.reset();
-      float* concat = arena.alloc(count * 2 * flat);
-      for (std::size_t p = 0; p < count; ++p) {
-        float* pos_plane = arena.alloc(plane_count());
-        float* neg_plane = arena.alloc(plane_count());
-        pack_plane(arrays[base + p].positive, axes_, half_, pos_plane);
-        pack_plane(arrays[base + p].negative, axes_, half_, neg_plane);
-        float* c = concat + p * 2 * flat;
-        branch_pos_.run(pos_plane, c, arena);
-        branch_neg_.run(neg_plane, c + flat, arena);
-      }
       float* tile_out = arena.alloc(dim * count);
-      fc_.run(concat, count, 2 * flat, tile_out, count, nn::Epilogue::Sigmoid);
+      embed_tile(arrays.data() + base, count, tile_out, arena);
       for (std::size_t p = 0; p < count; ++p) {
         out[base + p].resize(dim);
         for (std::size_t r = 0; r < dim; ++r) {
           out[base + p][r] = tile_out[r * count + p];
         }
       }
-      MANDIPASS_OBS_COUNT_N("nn.plan.fused_forwards", count);
     }
   });
-  MANDIPASS_OBS_GAUGE_SET("nn.plan.bytes_arena", nn::thread_scratch_arena().capacity_bytes());
+  MANDIPASS_OBS_GAUGE_SET(kInt8<TrunkGemm> ? "nn.qplan.bytes_arena" : "nn.plan.bytes_arena",
+                          nn::thread_scratch_arena().capacity_bytes());
   return out;
 }
+
+template class TiledExtractor<nn::InferencePlan, nn::PackedGemm>;
+template class TiledExtractor<nn::QuantizedInferencePlan, nn::PackedQuantizedGemm>;
+
+nn::Linear& trunk_linear(BiometricExtractor& source) {
+  nn::Sequential& trunk = source.trunk();
+  auto* linear = trunk.layer_count() == 2 ? dynamic_cast<nn::Linear*>(&trunk.layer(0)) : nullptr;
+  if (linear == nullptr || dynamic_cast<nn::Sigmoid*>(&trunk.layer(1)) == nullptr) {
+    throw ShapeError(  // mandilint: allow(no-throw-in-datapath) -- deploy-time model compilation
+        "compiled extractors expect a Linear -> Sigmoid trunk");
+  }
+  return *linear;
+}
+
+namespace {
+
+TiledExtractor<nn::InferencePlan, nn::PackedGemm> compile_float(BiometricExtractor& source) {
+  MANDIPASS_OBS_TRACE(trace_compile, "nn.plan.compile_us");
+  const std::size_t axes = source.config().axes;
+  const std::size_t half = source.config().half_length;
+  nn::Linear& fc = trunk_linear(source);
+  const std::vector<nn::Param*> lp = fc.params();
+  nn::PackedGemm trunk;
+  trunk.pack_rows(lp[0]->value.data(), lp[1]->value.data(), fc.out_features(),
+                  fc.in_features());
+  return {axes, half, nn::InferencePlan::compile(source.branch_positive(), axes, half),
+          nn::InferencePlan::compile(source.branch_negative(), axes, half), std::move(trunk)};
+}
+
+}  // namespace
+
+CompiledExtractor::CompiledExtractor(BiometricExtractor& source)
+    : TiledExtractor(compile_float(source)) {}
 
 }  // namespace mandipass::core

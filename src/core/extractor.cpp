@@ -144,7 +144,9 @@ std::vector<nn::Param*> BiometricExtractor::params() {
 }
 
 std::vector<float> BiometricExtractor::extract(const GradientArray& array) {
-  return compiled().extract(array);
+  std::vector<float> out = compiled().extract(array);
+  MANDIPASS_OBS_COUNT("core.extractor.samples");
+  return out;
 }
 
 std::vector<std::vector<float>> BiometricExtractor::extract_batch(
@@ -152,7 +154,11 @@ std::vector<std::vector<float>> BiometricExtractor::extract_batch(
   if (arrays.empty()) {
     return {};
   }
-  return compiled().extract_batch(arrays);
+  const CompiledExtractor& plan = compiled();
+  MANDIPASS_OBS_TRACE_SAMPLED(trace_batch, "core.extractor.embed_us", 4);
+  std::vector<std::vector<float>> out = plan.extract_batch(arrays);
+  MANDIPASS_OBS_COUNT_N("core.extractor.samples", arrays.size());
+  return out;
 }
 
 std::size_t BiometricExtractor::parameter_count() {

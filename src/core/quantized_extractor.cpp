@@ -5,282 +5,84 @@
 
 #include "common/error.h"
 #include "common/obs.h"
-#include "common/thread_pool.h"
-#include "nn/batchnorm.h"
-#include "nn/conv2d.h"
-#include "nn/linear.h"
 
 namespace mandipass::core {
-namespace {
 
-constexpr double kBnEps = 1e-5;  // BatchNorm2d's default epsilon
-
-/// Conv geometry shared by every layer of the paper's branches.
-constexpr std::size_t kKernel = 3;
-constexpr std::size_t kStrideH = 1;
-constexpr std::size_t kStrideW = 2;
-constexpr std::size_t kPad = 1;
-
-/// Packs the first `axes` axes of one direction into a dense (axes, half)
-/// float plane (same layout as the float compiled path).
-void pack_plane(const std::array<std::vector<double>, imu::kAxisCount>& axis_data,
-                std::size_t axes, std::size_t half, float* plane) {
-  for (std::size_t a = 0; a < axes; ++a) {
-    const double* src = axis_data[a].data();
-    float* dst = plane + a * half;
-    for (std::size_t w = 0; w < half; ++w) {
-      dst[w] = static_cast<float>(src[w]);
-    }
-  }
-}
-
-}  // namespace
-
-QuantizedExtractor::Branch QuantizedExtractor::fold_and_quantize_branch(
-    nn::Sequential& branch) {
+QuantizedExtractor::Branch QuantizedExtractor::quantize_branch(
+    std::span<const nn::FoldedConv> blocks) const {
   Branch out;
-  // Layout per make_branch(): [Conv2d, BatchNorm2d, ReLU] x3, Flatten.
-  for (std::size_t i = 0; i + 2 < branch.layer_count(); i += 3) {
-    auto* conv = dynamic_cast<nn::Conv2d*>(&branch.layer(i));
-    auto* bn = dynamic_cast<nn::BatchNorm2d*>(&branch.layer(i + 1));
-    if (conv == nullptr || bn == nullptr) {
-      throw ShapeError(  // mandilint: allow(no-throw-in-datapath) -- deploy-time model conversion
-          "unexpected branch structure during quantisation");
-    }
-    const auto& cfg = conv->config();
-    const nn::Tensor& w = conv->params()[0]->value;   // (oc, ic, kh, kw)
-    const nn::Tensor& b = conv->params()[1]->value;   // (oc)
-    const nn::Tensor& gamma = bn->params()[0]->value;
-    const nn::Tensor& beta = bn->params()[1]->value;
-    const nn::Tensor& mean = bn->running_mean();
-    const nn::Tensor& var = bn->running_var();
-
-    const std::size_t taps = cfg.in_channels * cfg.kernel_h * cfg.kernel_w;
-    nn::Tensor folded({cfg.out_channels, taps});
-    ConvLayer layer;
-    layer.in_channels = cfg.in_channels;
-    layer.out_channels = cfg.out_channels;
-    layer.bias.resize(cfg.out_channels);
-    for (std::size_t oc = 0; oc < cfg.out_channels; ++oc) {
-      const double scale =
-          static_cast<double>(gamma[oc]) / std::sqrt(static_cast<double>(var[oc]) + kBnEps);
-      for (std::size_t t = 0; t < taps; ++t) {
-        folded.at2(oc, t) = static_cast<float>(static_cast<double>(w[oc * taps + t]) * scale);
-      }
-      layer.bias[oc] = static_cast<float>(
-          (static_cast<double>(b[oc]) - static_cast<double>(mean[oc])) * scale +
-          static_cast<double>(beta[oc]));
-    }
-    layer.weights = nn::quantize_rows(folded);
-    out.convs.push_back(std::move(layer));
+  std::size_t h = config_.axes;
+  std::size_t w = config_.half_length;
+  for (const nn::FoldedConv& block : blocks) {
+    const ConvLayer& layer = out.emplace_back(ConvLayer{
+        nn::ConvGeometry(block.config, h, w), nn::quantize_rows(block.weights), block.bias});
+    h = layer.geometry.h_out;
+    w = layer.geometry.w_out;
   }
   return out;
 }
 
-void QuantizedExtractor::snapshot(BiometricExtractor& source) {
-  positive_ = fold_and_quantize_branch(source.branch_positive());
-  negative_ = fold_and_quantize_branch(source.branch_negative());
-  auto* fc = dynamic_cast<nn::Linear*>(&source.trunk().layer(0));
-  if (fc == nullptr) {
-    throw ShapeError(  // mandilint: allow(no-throw-in-datapath) -- deploy-time model conversion
-        "unexpected trunk structure during quantisation");
-  }
-  fc_weights_ = nn::quantize_rows(fc->params()[0]->value);
-  const nn::Tensor& b = fc->params()[1]->value;
-  fc_bias_.assign(b.data(), b.data() + b.size());
-}
-
 QuantizedExtractor::QuantizedExtractor(BiometricExtractor& source)
     : config_(source.config()) {
-  snapshot(source);
+  requantize(source);
 }
 
 void QuantizedExtractor::requantize(BiometricExtractor& source) {
   MANDIPASS_EXPECTS(source.config().axes == config_.axes &&
                     source.config().half_length == config_.half_length &&
                     source.config().embedding_dim == config_.embedding_dim);
-  snapshot(source);
-  common::MutexLock lock(plan_mutex_);
-  plans_.reset();  // next extract() recompiles from the new snapshot
+  MANDIPASS_OBS_TRACE(trace_compile, "nn.qplan.compile_us");
+  const std::vector<nn::FoldedConv> pos = nn::fold_branch(source.branch_positive());
+  const std::vector<nn::FoldedConv> neg = nn::fold_branch(source.branch_negative());
+  const std::vector<nn::Param*> lp = trunk_linear(source).params();
+  nn::QuantizedMatrix fc_weights = nn::quantize_rows(lp[0]->value);
+  const nn::Tensor& b = lp[1]->value;
+  std::vector<float> fc_bias(b.data(), b.data() + b.size());
+  nn::PackedQuantizedGemm trunk;
+  trunk.pack_rows(fc_weights, fc_bias.data());
+  const std::size_t h = config_.axes;
+  const std::size_t w = config_.half_length;
+  plan_ = {h, w, nn::QuantizedInferencePlan::compile(pos, h, w),
+           nn::QuantizedInferencePlan::compile(neg, h, w), std::move(trunk)};
+  positive_ = quantize_branch(pos);
+  negative_ = quantize_branch(neg);
+  fc_weights_ = std::move(fc_weights);
+  fc_bias_ = std::move(fc_bias);
 }
 
-nn::QuantizedInferencePlan QuantizedExtractor::compile_branch(const Branch& branch) const {
-  std::vector<nn::QuantizedConvSpec> specs;
-  specs.reserve(branch.convs.size());
-  for (const ConvLayer& layer : branch.convs) {
-    nn::Conv2dConfig cfg;
-    cfg.in_channels = layer.in_channels;
-    cfg.out_channels = layer.out_channels;
-    cfg.kernel_h = kKernel;
-    cfg.kernel_w = kKernel;
-    cfg.stride_h = kStrideH;
-    cfg.stride_w = kStrideW;
-    cfg.pad_h = kPad;
-    cfg.pad_w = kPad;
-    specs.push_back({cfg, &layer.weights, layer.bias.data()});
-  }
-  return nn::QuantizedInferencePlan::compile(specs, config_.axes, config_.half_length);
-}
-
-std::shared_ptr<const QuantizedExtractor::Plans> QuantizedExtractor::plans() const {
-  common::MutexLock lock(plan_mutex_);
-  if (plans_ == nullptr) {
-    MANDIPASS_OBS_TRACE(trace_compile, "nn.qplan.compile_us");
-    auto built = std::make_shared<Plans>();
-    built->positive = compile_branch(positive_);
-    built->negative = compile_branch(negative_);
-    built->trunk.pack_rows(fc_weights_, fc_bias_.data());
-    MANDIPASS_EXPECTS(built->positive.feature_count() + built->negative.feature_count() ==
-                      fc_weights_.cols);
-    MANDIPASS_EXPECTS(built->trunk.rows() == config_.embedding_dim);
-    plans_ = std::move(built);
-  }
-  return plans_;
-}
-
-void QuantizedExtractor::embed_one(const Plans& plans, const float* pos_plane,
-                                   const float* neg_plane, float* out,
-                                   nn::ScratchArena& arena) const {
-  const std::size_t flat = plans.positive.feature_count();
-  float* concat = arena.alloc(2 * flat);
-  plans.positive.run(pos_plane, concat, arena);
-  plans.negative.run(neg_plane, concat + flat, arena);
-  plans.trunk.run(concat, 1, 2 * flat, out, 1, nn::Epilogue::Sigmoid, arena);
-}
-
-std::vector<float> QuantizedExtractor::extract(const GradientArray& array) const {
-  MANDIPASS_EXPECTS(array.half_length() == config_.half_length);
-  const std::shared_ptr<const Plans> p = plans();
-  MANDIPASS_OBS_COUNT("nn.qplan.fused_forwards");
-  nn::ScratchArena& arena = nn::thread_scratch_arena();
-  arena.assert_owner();  // thread_local, so trivially ours; claims the capability
-  arena.reset();
-  const std::size_t plane = config_.axes * config_.half_length;
-  float* pos_plane = arena.alloc(plane);
-  float* neg_plane = arena.alloc(plane);
-  pack_plane(array.positive, config_.axes, config_.half_length, pos_plane);
-  pack_plane(array.negative, config_.axes, config_.half_length, neg_plane);
-  std::vector<float> out(config_.embedding_dim);
-  embed_one(*p, pos_plane, neg_plane, out.data(), arena);
-  return out;
-}
-
-std::vector<std::vector<float>> QuantizedExtractor::extract_batch(
-    std::span<const GradientArray> arrays) const {
-  // Validate up front, on the caller: precondition failures must not fire
-  // on pool workers mid-batch.
-  for (const GradientArray& a : arrays) {
-    MANDIPASS_EXPECTS(a.half_length() == config_.half_length);
-  }
-  const std::shared_ptr<const Plans> plan = plans();
-  MANDIPASS_OBS_COUNT_N("nn.qplan.fused_forwards", arrays.size());
-  std::vector<std::vector<float>> out(arrays.size());
-  const std::size_t dim = config_.embedding_dim;
-  const std::size_t flat = plan->positive.feature_count();
-  const std::size_t plane = config_.axes * config_.half_length;
-  // Same tiling as CompiledExtractor::extract_batch: branch features of
-  // a tile are gathered into one concat matrix, then a single trunk GEMM
-  // streams the packed int8 weights once per tile. Activation
-  // quantization is per input vector, so every element is computed
-  // exactly as in extract() regardless of the batch/thread split.
-  common::parallel_for(0, arrays.size(), kSampleTile, [&](std::size_t lo, std::size_t hi) {
-    nn::ScratchArena& arena = nn::thread_scratch_arena();
-    arena.assert_owner();  // this worker's own arena; claims the capability
-    for (std::size_t base = lo; base < hi; base += kSampleTile) {
-      const std::size_t count = std::min(kSampleTile, hi - base);
-      arena.reset();
-      float* concat = arena.alloc(count * 2 * flat);
-      for (std::size_t p = 0; p < count; ++p) {
-        float* pos_plane = arena.alloc(plane);
-        float* neg_plane = arena.alloc(plane);
-        pack_plane(arrays[base + p].positive, config_.axes, config_.half_length, pos_plane);
-        pack_plane(arrays[base + p].negative, config_.axes, config_.half_length, neg_plane);
-        float* c = concat + p * 2 * flat;
-        plan->positive.run(pos_plane, c, arena);
-        plan->negative.run(neg_plane, c + flat, arena);
+std::vector<float> QuantizedExtractor::run_branch(const Branch& branch, std::vector<float> in) {
+  for (const ConvLayer& layer : branch) {
+    const nn::ConvGeometry& g = layer.geometry;
+    MANDIPASS_EXPECTS(in.size() == g.input_count());
+    std::vector<float> out(g.output_count());
+    std::vector<float> patch(g.taps);
+    std::vector<float> y(g.out_channels);
+    for (std::size_t pos = 0; pos < g.positions; ++pos) {
+      // Gather the patch (zero padding outside the plane).
+      const std::ptrdiff_t* idx = g.patch_index.data() + pos * g.taps;
+      for (std::size_t t = 0; t < g.taps; ++t) {
+        patch[t] = idx[t] >= 0 ? in[static_cast<std::size_t>(idx[t])] : 0.0f;
       }
-      float* tile_out = arena.alloc(dim * count);
-      plan->trunk.run(concat, count, 2 * flat, tile_out, count, nn::Epilogue::Sigmoid,
-                      arena);
-      for (std::size_t p = 0; p < count; ++p) {
-        out[base + p].resize(dim);
-        for (std::size_t r = 0; r < dim; ++r) {
-          out[base + p][r] = tile_out[r * count + p];
-        }
-      }
-    }
-  });
-  MANDIPASS_OBS_GAUGE_SET("nn.qplan.bytes_arena", nn::thread_scratch_arena().capacity_bytes());
-  return out;
-}
-
-std::vector<float> QuantizedExtractor::run_branch(const Branch& branch,
-                                                  const std::vector<float>& plane,
-                                                  std::size_t h, std::size_t w) const {
-  std::vector<float> in = plane;  // (ic, h, w) flattened, ic starts at 1
-  std::size_t in_c = 1;
-  std::size_t cur_h = h;
-  std::size_t cur_w = w;
-  for (const ConvLayer& layer : branch.convs) {
-    MANDIPASS_EXPECTS(layer.in_channels == in_c);
-    const std::size_t out_h = (cur_h + 2 * kPad - kKernel) / kStrideH + 1;
-    const std::size_t out_w = (cur_w + 2 * kPad - kKernel) / kStrideW + 1;
-    std::vector<float> out(layer.out_channels * out_h * out_w, 0.0f);
-    std::vector<float> patch(in_c * kKernel * kKernel);
-    std::vector<float> y(layer.out_channels);
-    for (std::size_t oh = 0; oh < out_h; ++oh) {
-      for (std::size_t ow = 0; ow < out_w; ++ow) {
-        // Gather the patch (zero padding outside the plane).
-        std::size_t cell = 0;
-        for (std::size_t ic = 0; ic < in_c; ++ic) {
-          for (std::size_t kh = 0; kh < kKernel; ++kh) {
-            for (std::size_t kw = 0; kw < kKernel; ++kw, ++cell) {
-              const std::ptrdiff_t ih = static_cast<std::ptrdiff_t>(oh * kStrideH + kh) -
-                                        static_cast<std::ptrdiff_t>(kPad);
-              const std::ptrdiff_t iw = static_cast<std::ptrdiff_t>(ow * kStrideW + kw) -
-                                        static_cast<std::ptrdiff_t>(kPad);
-              patch[cell] = (ih < 0 || ih >= static_cast<std::ptrdiff_t>(cur_h) || iw < 0 ||
-                             iw >= static_cast<std::ptrdiff_t>(cur_w))
-                                ? 0.0f
-                                : in[static_cast<std::size_t>(
-                                      (static_cast<std::ptrdiff_t>(ic * cur_h) + ih) *
-                                          static_cast<std::ptrdiff_t>(cur_w) +
-                                      iw)];
-            }
-          }
-        }
-        nn::quantized_matvec(layer.weights, patch.data(), layer.bias.data(), y.data());
-        for (std::size_t oc = 0; oc < layer.out_channels; ++oc) {
-          // Folded BN + ReLU.
-          out[(oc * out_h + oh) * out_w + ow] = std::max(0.0f, y[oc]);
-        }
+      nn::quantized_matvec(layer.weights, patch.data(), layer.bias.data(), y.data());
+      for (std::size_t oc = 0; oc < g.out_channels; ++oc) {
+        out[oc * g.positions + pos] = std::max(0.0f, y[oc]);  // folded BN + ReLU
       }
     }
     in = std::move(out);
-    in_c = layer.out_channels;
-    cur_h = out_h;
-    cur_w = out_w;
   }
   return in;  // already flattened in (c, h, w) order, matching nn::Flatten
 }
 
 std::vector<float> QuantizedExtractor::extract_scalar(const GradientArray& array) const {
-  MANDIPASS_EXPECTS(array.half_length() == config_.half_length);
-  const std::size_t h = config_.axes;
-  const std::size_t w = config_.half_length;
-  std::vector<float> pos_plane(h * w);
-  std::vector<float> neg_plane(h * w);
-  for (std::size_t a = 0; a < h; ++a) {
-    for (std::size_t i = 0; i < w; ++i) {
-      pos_plane[a * w + i] = static_cast<float>(array.positive[a][i]);
-      neg_plane[a * w + i] = static_cast<float>(array.negative[a][i]);
-    }
-  }
-  const auto fp = run_branch(positive_, pos_plane, h, w);
-  const auto fn = run_branch(negative_, neg_plane, h, w);
-  std::vector<float> concat;
-  concat.reserve(fp.size() + fn.size());
-  concat.insert(concat.end(), fp.begin(), fp.end());
+  const std::size_t axes = config_.axes;
+  const std::size_t half = config_.half_length;
+  expect_branch_shape(array, axes, half);
+  std::vector<float> pos_plane(axes * half);
+  std::vector<float> neg_plane(axes * half);
+  pack_plane(array.positive, axes, half, pos_plane.data());
+  pack_plane(array.negative, axes, half, neg_plane.data());
+  std::vector<float> concat = run_branch(positive_, std::move(pos_plane));
+  const std::vector<float> fn = run_branch(negative_, std::move(neg_plane));
   concat.insert(concat.end(), fn.begin(), fn.end());
   MANDIPASS_EXPECTS(concat.size() == fc_weights_.cols);
 
@@ -295,7 +97,7 @@ std::vector<float> QuantizedExtractor::extract_scalar(const GradientArray& array
 std::size_t QuantizedExtractor::storage_bytes() const {
   std::size_t bytes = fc_weights_.storage_bytes() + fc_bias_.size() * sizeof(float);
   for (const Branch* branch : {&positive_, &negative_}) {
-    for (const ConvLayer& layer : branch->convs) {
+    for (const ConvLayer& layer : *branch) {
       bytes += layer.weights.storage_bytes() + layer.bias.size() * sizeof(float);
     }
   }

@@ -7,23 +7,22 @@
 // within float rounding of the original (the quantization bench
 // measures the exact embedding drift and its EER impact).
 //
-// Serving goes through a compiled int8 plan (DESIGN.md §18): the
-// quantized weights are pre-packed for the integer dot-product kernels
-// (nn::PackedQuantizedGemm — VNNI / AVX2 / NEON / generic tiers),
-// activations are quantized per input vector on the fly, and ReLU /
+// Serving goes through the int8 instance of the shared compiled extractor
+// (core::TiledExtractor, DESIGN.md §18): branches folded by
+// nn::fold_branch, weights quantized per row and pre-packed for the
+// integer dot-product kernels (nn::PackedQuantizedGemm — VNNI / AVX2 /
+// NEON / generic tiers), activations quantized on the fly, and ReLU /
 // Sigmoid run as dequantizing epilogues with every intermediate in a
-// per-thread ScratchArena. The plan is compiled lazily on first
-// extract() and cached; requantize() re-snapshots a (re)trained source
-// and invalidates it. extract_scalar() keeps the original float-
-// activation scalar walk as the reference the plan is validated
-// against.
+// per-thread ScratchArena. The plan is compiled in the constructor and
+// by requantize(), which re-snapshots a (re)trained source.
+// extract_scalar() keeps the original float-activation scalar walk over
+// the int8 snapshot as the reference the plan is validated against.
 #pragma once
 
-#include <memory>
 #include <span>
 #include <vector>
 
-#include "common/mutex.h"
+#include "core/compiled_extractor.h"
 #include "core/extractor.h"
 #include "nn/inference_plan.h"
 #include "nn/quantize.h"
@@ -40,15 +39,16 @@ class QuantizedExtractor {
   /// Embeds one gradient array through the compiled int8 plan — same
   /// contract as BiometricExtractor::extract. Bit-identical to
   /// extract_batch of the same sample and across kernel tiers.
-  std::vector<float> extract(const GradientArray& array) const;
+  std::vector<float> extract(const GradientArray& array) const { return plan_.extract(array); }
 
-  /// Embeds every array; row i is the MandiblePrint of arrays[i].
-  /// Mirrors CompiledExtractor::extract_batch: samples fan out in tiles
-  /// of kSampleTile over the global thread pool, one ScratchArena per
-  /// worker, one trunk GEMM per tile. Per-vector activation quantization
-  /// makes each element independent of the batch split, so results are
-  /// bit-identical to extract() for any thread count.
-  std::vector<std::vector<float>> extract_batch(std::span<const GradientArray> arrays) const;
+  /// Embeds every array; row i is the MandiblePrint of arrays[i]. Same
+  /// tiled code as CompiledExtractor::extract_batch; per-vector
+  /// activation quantization makes each element independent of the batch
+  /// split, so results are bit-identical to extract() for any thread
+  /// count.
+  std::vector<std::vector<float>> extract_batch(std::span<const GradientArray> arrays) const {
+    return plan_.extract_batch(arrays);
+  }
 
   /// The pre-plan reference path: float activations, scalar
   /// nn::quantized_matvec per im2col patch. Kept as the baseline the
@@ -56,61 +56,39 @@ class QuantizedExtractor {
   std::vector<float> extract_scalar(const GradientArray& array) const;
 
   /// Re-snapshots `source` at its current weights (fold + quantize) and
-  /// invalidates the compiled plans. A quantized model is a deployment
-  /// snapshot, not a live view — callers refresh explicitly after
-  /// further training, mirroring the float path's recompile-on-train.
+  /// recompiles the plan. A quantized model is a deployment snapshot, not
+  /// a live view — callers refresh explicitly after further training,
+  /// mirroring the float path's recompile-on-train. Not safe to call
+  /// while another thread extracts.
   void requantize(BiometricExtractor& source);
 
   /// Total int8 model footprint in bytes (weights + scales + biases).
   std::size_t storage_bytes() const;
 
-  /// Samples per trunk-GEMM tile in extract_batch (bounds arena usage;
-  /// has no effect on results).
-  static constexpr std::size_t kSampleTile = 8;
-
   const ExtractorConfig& config() const { return config_; }
 
  private:
-  /// One folded conv layer: int8 weights over (out_c, in_c*3*3) taps.
+  /// One folded conv layer of the int8 snapshot.
   struct ConvLayer {
-    nn::QuantizedMatrix weights;
+    nn::ConvGeometry geometry;    ///< on the layer's input plane
+    nn::QuantizedMatrix weights;  ///< (out_channels, taps)
     std::vector<float> bias;
-    std::size_t in_channels = 0;
-    std::size_t out_channels = 0;
   };
-  struct Branch {
-    std::vector<ConvLayer> convs;
-  };
-  /// The compiled int8 serving artifacts, built lazily from the
-  /// quantized snapshot and shared by concurrent extract() calls.
-  struct Plans {
-    nn::QuantizedInferencePlan positive;
-    nn::QuantizedInferencePlan negative;
-    nn::PackedQuantizedGemm trunk;
-  };
+  using Branch = std::vector<ConvLayer>;
 
-  static Branch fold_and_quantize_branch(nn::Sequential& branch);
-  /// Folds + quantizes both branches and the trunk of `source`.
-  void snapshot(BiometricExtractor& source);
-  /// The compiled plans, built on first use (thread-safe).
-  std::shared_ptr<const Plans> plans() const;
-  nn::QuantizedInferencePlan compile_branch(const Branch& branch) const;
-  /// One sample from two packed (axes, half) planes into out
-  /// (embedding_dim floats); planes must already live in `arena`.
-  void embed_one(const Plans& plans, const float* pos_plane, const float* neg_plane,
-                 float* out, nn::ScratchArena& arena) const MANDIPASS_REQUIRES(arena);
+  /// Quantizes the folded blocks of one branch for (1, axes, half) input
+  /// planes.
+  Branch quantize_branch(std::span<const nn::FoldedConv> blocks) const;
   /// Runs one branch on a (channels=1, H=axes, W=half) plane; returns the
   /// flattened feature vector. Scalar reference path.
-  std::vector<float> run_branch(const Branch& branch, const std::vector<float>& plane,
-                                std::size_t h, std::size_t w) const;
+  static std::vector<float> run_branch(const Branch& branch, std::vector<float> in);
 
   ExtractorConfig config_;
   Branch positive_;
   Branch negative_;
   nn::QuantizedMatrix fc_weights_;
   std::vector<float> fc_bias_;
-  mutable common::Mutex plan_mutex_;
-  mutable std::shared_ptr<const Plans> plans_ MANDIPASS_GUARDED_BY(plan_mutex_);
+  TiledExtractor<nn::QuantizedInferencePlan, nn::PackedQuantizedGemm> plan_;
 };
 
 }  // namespace mandipass::core

@@ -21,20 +21,35 @@ GradientArray build_gradient_array(const SignalArray& array, std::size_t half) {
   return out;
 }
 
+void expect_branch_shape(const GradientArray& array, std::size_t axes, std::size_t half) {
+  MANDIPASS_EXPECTS(axes >= 1 && axes <= imu::kAxisCount);
+  for (std::size_t a = 0; a < axes; ++a) {
+    MANDIPASS_EXPECTS(array.positive[a].size() == half && array.negative[a].size() == half);
+  }
+}
+
+void pack_plane(const std::array<std::vector<double>, imu::kAxisCount>& direction,
+                std::size_t axes, std::size_t half, float* plane) {
+  for (std::size_t a = 0; a < axes; ++a) {
+    const double* src = direction[a].data();
+    float* dst = plane + a * half;
+    for (std::size_t w = 0; w < half; ++w) {
+      dst[w] = static_cast<float>(src[w]);
+    }
+  }
+}
+
 BranchTensors pack_branches(std::span<const GradientArray> batch, std::size_t axes) {
   MANDIPASS_EXPECTS(!batch.empty());
-  MANDIPASS_EXPECTS(axes >= 1 && axes <= imu::kAxisCount);
-  const std::size_t n = batch.size();
   const std::size_t half = batch.front().half_length();
+  for (const GradientArray& g : batch) {
+    expect_branch_shape(g, axes, half);
+  }
+  const std::size_t n = batch.size();
   BranchTensors t{nn::Tensor({n, 1, axes, half}), nn::Tensor({n, 1, axes, half})};
   for (std::size_t b = 0; b < n; ++b) {
-    MANDIPASS_EXPECTS(batch[b].half_length() == half);
-    for (std::size_t a = 0; a < axes; ++a) {
-      for (std::size_t w = 0; w < half; ++w) {
-        t.positive.at4(b, 0, a, w) = static_cast<float>(batch[b].positive[a][w]);
-        t.negative.at4(b, 0, a, w) = static_cast<float>(batch[b].negative[a][w]);
-      }
-    }
+    pack_plane(batch[b].positive, axes, half, t.positive.data() + b * axes * half);
+    pack_plane(batch[b].negative, axes, half, t.negative.data() + b * axes * half);
   }
   return t;
 }

@@ -46,6 +46,17 @@ struct GradientArray {
 /// interpolation). `half` defaults to segment_length / 2.
 GradientArray build_gradient_array(const SignalArray& array, std::size_t half = 0);
 
+/// Precondition of every extractor entry point: 1 <= axes <= 6 and the
+/// first `axes` axes of both directions hold `half` values each
+/// (half_length() reads axis 0 only). Throws PreconditionError otherwise.
+void expect_branch_shape(const GradientArray& array, std::size_t axes, std::size_t half);
+
+/// Packs the first `axes` axes of one direction (GradientArray::positive
+/// or ::negative) into a dense (axes, half) float plane: one branch input
+/// sample, in the layout pack_branches uses.
+void pack_plane(const std::array<std::vector<double>, imu::kAxisCount>& direction,
+                std::size_t axes, std::size_t half, float* plane);
+
 /// Batch of gradient arrays packed into the two branch input tensors,
 /// using only the first `axes` axes (the Fig. 11(a) ablation order
 /// ax, ay, az, gx, gy, gz). Shapes: (N, 1, axes, half).

@@ -278,104 +278,83 @@ void PackedGemm::run_xmajor(const float* x, std::size_t x_count, std::size_t x_s
                    y_stride, epilogue);
 }
 
-FoldedConv fold_conv_bn(Conv2d& conv, BatchNorm2d& bn) {
-  // Fold BN into the conv: y = gamma * (conv(x) - mean) / sqrt(var+eps)
-  // + beta  ==  conv'(x) with w' = w * s, b' = (b - mean) * s + beta,
-  // s = gamma / sqrt(var + eps). Folded in double, matching the
-  // reference eval path's double inv_std (batchnorm.cpp).
-  const Conv2dConfig& cc = conv.config();
-  FoldedConv folded;
-  folded.out_channels = cc.out_channels;
-  folded.taps = cc.in_channels * cc.kernel_h * cc.kernel_w;
-  const std::vector<Param*> cp = conv.params();
-  const std::vector<Param*> bp = bn.params();
-  const Tensor& wt = cp[0]->value;
-  const Tensor& bt = cp[1]->value;
-  const Tensor& gamma = bp[0]->value;
-  const Tensor& beta = bp[1]->value;
-  const Tensor& mean = bn.running_mean();
-  const Tensor& var = bn.running_var();
-  folded.weights.resize(folded.out_channels * folded.taps);
-  folded.bias.resize(folded.out_channels);
-  for (std::size_t oc = 0; oc < folded.out_channels; ++oc) {
-    const double scale = static_cast<double>(gamma[oc]) /
-                         std::sqrt(static_cast<double>(var[oc]) + bn.eps());
-    for (std::size_t k = 0; k < folded.taps; ++k) {
-      folded.weights[oc * folded.taps + k] =
-          static_cast<float>(static_cast<double>(wt[oc * folded.taps + k]) * scale);
+std::vector<FoldedConv> fold_branch(Sequential& branch) {
+  std::vector<FoldedConv> blocks;
+  const std::size_t count = branch.layer_count();
+  std::size_t i = 0;
+  for (; i + 2 < count; i += 3) {
+    auto* conv = dynamic_cast<Conv2d*>(&branch.layer(i));
+    auto* bn = dynamic_cast<BatchNorm2d*>(&branch.layer(i + 1));
+    if (conv == nullptr || bn == nullptr || dynamic_cast<ReLU*>(&branch.layer(i + 2)) == nullptr ||
+        bn->running_mean().size() != conv->config().out_channels ||
+        (!blocks.empty() && conv->config().in_channels != blocks.back().config.out_channels)) {
+      break;
     }
-    folded.bias[oc] = static_cast<float>(
-        (static_cast<double>(bt[oc]) - static_cast<double>(mean[oc])) * scale +
-        static_cast<double>(beta[oc]));
+    // y = gamma * (conv(x) - mean) / sqrt(var + eps) + beta == conv'(x).
+    // Folded in double, matching the reference eval path's double inv_std
+    // (batchnorm.cpp).
+    const Conv2dConfig& cc = conv->config();
+    const std::size_t taps = cc.in_channels * cc.kernel_h * cc.kernel_w;
+    FoldedConv& folded = blocks.emplace_back(
+        FoldedConv{cc, Tensor({cc.out_channels, taps}), std::vector<float>(cc.out_channels)});
+    const Tensor& wt = conv->params()[0]->value;
+    const Tensor& bt = conv->params()[1]->value;
+    const Tensor& gamma = bn->params()[0]->value;
+    const Tensor& beta = bn->params()[1]->value;
+    const Tensor& mean = bn->running_mean();
+    const Tensor& var = bn->running_var();
+    for (std::size_t oc = 0; oc < cc.out_channels; ++oc) {
+      const double scale = static_cast<double>(gamma[oc]) /
+                           std::sqrt(static_cast<double>(var[oc]) + bn->eps());
+      for (std::size_t k = 0; k < taps; ++k) {
+        folded.weights[oc * taps + k] =
+            static_cast<float>(static_cast<double>(wt[oc * taps + k]) * scale);
+      }
+      folded.bias[oc] = static_cast<float>(
+          (static_cast<double>(bt[oc]) - static_cast<double>(mean[oc])) * scale +
+          static_cast<double>(beta[oc]));
+    }
   }
-  return folded;
+  // Whatever follows the triples must be at most one Flatten, which is a
+  // no-op on the plans' already-flat (C, H, W) features.
+  const bool tail_ok =
+      i == count || (i + 1 == count && dynamic_cast<Flatten*>(&branch.layer(i)) != nullptr);
+  if (blocks.empty() || !tail_ok) {
+    throw ShapeError(
+        "fold_branch expects channel-chained [Conv2d, BatchNorm2d, ReLU] triples + optional "
+        "Flatten");
+  }
+  return blocks;
 }
+
+ConvGeometry::ConvGeometry(const Conv2dConfig& config, std::size_t h, std::size_t w)
+    : in_channels(config.in_channels),
+      out_channels(config.out_channels),
+      h_in(h),
+      w_in(w),
+      h_out(Conv2d::out_extent(h, config.kernel_h, config.stride_h, config.pad_h)),
+      w_out(Conv2d::out_extent(w, config.kernel_w, config.stride_w, config.pad_w)),
+      taps(config.in_channels * config.kernel_h * config.kernel_w),
+      positions(h_out * w_out),
+      patch_index(Conv2d::make_patch_index(config, h, w)) {}
 
 InferencePlan InferencePlan::compile(Sequential& branch, std::size_t h_in, std::size_t w_in) {
   InferencePlan plan;
-  const std::size_t count = branch.layer_count();
-  std::size_t h = h_in;
-  std::size_t w = w_in;
-  std::size_t i = 0;
-  while (i + 2 < count) {
-    auto* conv = dynamic_cast<Conv2d*>(&branch.layer(i));
-    auto* bn = dynamic_cast<BatchNorm2d*>(&branch.layer(i + 1));
-    auto* relu = dynamic_cast<ReLU*>(&branch.layer(i + 2));
-    if (conv == nullptr || bn == nullptr || relu == nullptr) {
-      break;
-    }
-    const Conv2dConfig& cc = conv->config();
-    FusedConvStage stage;
-    stage.in_channels = cc.in_channels;
-    stage.out_channels = cc.out_channels;
-    stage.h_in = h;
-    stage.w_in = w;
-    stage.h_out = Conv2d::out_extent(h, cc.kernel_h, cc.stride_h, cc.pad_h);
-    stage.w_out = Conv2d::out_extent(w, cc.kernel_w, cc.stride_w, cc.pad_w);
-    stage.taps = cc.in_channels * cc.kernel_h * cc.kernel_w;
-    stage.positions = stage.h_out * stage.w_out;
-    stage.patch_index = Conv2d::make_patch_index(cc, h, w);
-
-    const FoldedConv folded = fold_conv_bn(*conv, *bn);
-    stage.gemm.pack_rows(folded.weights.data(), folded.bias.data(), cc.out_channels,
+  for (const FoldedConv& block : fold_branch(branch)) {
+    Stage& stage = plan.stages_.emplace_back(block.config, h_in, w_in);
+    stage.gemm.pack_rows(block.weights.data(), block.bias.data(), stage.out_channels,
                          stage.taps);
-    h = stage.h_out;
-    w = stage.w_out;
-    plan.stages_.push_back(std::move(stage));
-    i += 3;
-  }
-  // Whatever follows the triples must be at most one Flatten, which is a
-  // no-op on the plan's already-flat (C, H, W) features.
-  const bool tail_ok =
-      i == count || (i + 1 == count && dynamic_cast<Flatten*>(&branch.layer(i)) != nullptr);
-  if (plan.stages_.empty() || !tail_ok) {
-    throw ShapeError(
-        "InferencePlan::compile expects [Conv2d, BatchNorm2d, ReLU] triples + optional Flatten");
+    h_in = stage.h_out;
+    w_in = stage.w_out;
   }
   return plan;
-}
-
-std::size_t InferencePlan::input_count() const noexcept {
-  if (stages_.empty()) {
-    return 0;
-  }
-  const FusedConvStage& s = stages_.front();
-  return s.in_channels * s.h_in * s.w_in;
-}
-
-std::size_t InferencePlan::feature_count() const noexcept {
-  if (stages_.empty()) {
-    return 0;
-  }
-  const FusedConvStage& s = stages_.back();
-  return s.out_channels * s.positions;
 }
 
 void InferencePlan::run(const float* plane, float* out, ScratchArena& arena) const {
   MANDIPASS_EXPECTS(!stages_.empty());
   const float* cur = plane;
   for (std::size_t si = 0; si < stages_.size(); ++si) {
-    const FusedConvStage& s = stages_[si];
+    const Stage& s = stages_[si];
     // Gather: one im2col row per output position. Every cell is written
     // (padding taps as 0), so the arena storage needs no pre-zeroing.
     const std::size_t cells = s.positions * s.taps;
@@ -389,7 +368,7 @@ void InferencePlan::run(const float* plane, float* out, ScratchArena& arena) con
     // gets full x-tiles). Writing with stride `positions` lands the
     // output directly in (C, H, W) order, which for the final stage is
     // exactly the Flatten layout.
-    float* next = si + 1 == stages_.size() ? out : arena.alloc(s.out_channels * s.positions);
+    float* next = si + 1 == stages_.size() ? out : arena.alloc(s.output_count());
     s.gemm.run(patches, s.positions, s.taps, next, s.positions, Epilogue::Relu);
     cur = next;
   }

@@ -1,39 +1,44 @@
-// Compiled inference plan: fused Conv+BN+ReLU stages, a packed
-// register-blocked GEMM kernel, and an allocation-free scratch arena
-// (DESIGN.md §13).
+// Compiled inference plans: fused Conv+BN+ReLU stages, packed
+// register-blocked GEMM kernels, and an allocation-free scratch arena
+// (DESIGN.md §13, §18).
 //
 // The training stack (Conv2d / BatchNorm2d / ReLU as separate layers,
 // one freshly allocated Tensor per layer output) is the *reference*
 // implementation: auditable, differentiable, and bit-stable. Inference
 // never needs that generality — the branch topology is frozen, BatchNorm
 // runs off its running statistics, and nothing is kept for a backward
-// pass. An InferencePlan is compiled once from a trained branch:
+// pass. A branch is compiled once, after training, and both precisions
+// share every step but the GEMM:
 //
-//   * each BatchNorm2d's affine is folded into the preceding Conv2d's
-//     weights and bias (w' = w * gamma/sqrt(var+eps),
-//     b' = (b - mean) * gamma/sqrt(var+eps) + beta), and the ReLU becomes
-//     a GEMM epilogue — one pass per conv block instead of three;
-//   * the folded weights are pre-packed taps-major in blocks of
-//     kOcBlock output channels and multiplied against a tile of kXTile
-//     patch rows at a time, so each packed weight load is reused across
-//     the tile while all accumulators stay in registers (an explicit
-//     AVX2 kernel covers machines without AVX-512);
+//   * fold_branch() checks the [Conv2d, BatchNorm2d, ReLU] x N
+//     (+ Flatten) layout and folds each BatchNorm2d's affine, with its
+//     own eps, into the preceding Conv2d's weights and bias
+//     (w' = w * gamma/sqrt(var+eps),
+//     b' = (b - mean) * gamma/sqrt(var+eps) + beta); the ReLU becomes a
+//     GEMM epilogue — one pass per conv block instead of three;
+//   * each folded block becomes a ConvStage: its ConvGeometry (extents
+//     and im2col gather index, from the block's own Conv2dConfig) plus
+//     the folded weights packed for one precision's GEMM — PackedGemm
+//     for the float InferencePlan, PackedQuantizedGemm for the int8
+//     QuantizedInferencePlan;
 //   * every intermediate (im2col patches, activations) lives in a
 //     ScratchArena that is reset — not freed — between samples, so the
 //     steady state performs zero heap allocations.
 //
-// Numerics: within one output element the accumulation order over taps
-// is the same ascending order the reference GEMM uses; the only drift
-// versus the reference path is the BN folding itself (and FMA
-// contraction), bounded in practice well under the documented 1e-5
-// max-abs embedding tolerance. Each sample is computed independently and
-// serially, so results are bit-identical for any thread count and for
-// single- vs batched extraction.
-// The quantized variant (DESIGN.md §18) compiles the same frozen branch
-// into an int8 plan: the BN fold uses the same formula (fold_conv_bn's),
-// then each folded weight matrix is quantized per-row to
-// int8 and pre-packed in 16-channel blocks of 4-tap groups for the
-// integer dot-product kernels (qgemm_*.cpp: AVX-512 VNNI vpdpbusd, AVX2
+// Float numerics: the folded weights are pre-packed taps-major in blocks
+// of kOcBlock output channels and multiplied against a tile of kXTile
+// patch rows at a time (explicit AVX-512 / AVX2 kernels); within one
+// output element the accumulation order over taps is the same ascending
+// order the reference GEMM uses, so the only drift versus the reference
+// path is the BN folding itself (and FMA contraction), bounded in
+// practice well under the documented 1e-5 max-abs embedding tolerance.
+// Each sample is computed independently and serially, so results are
+// bit-identical for any thread count and for single- vs batched
+// extraction.
+//
+// Int8 numerics: each folded weight matrix is quantized per-row to int8
+// and pre-packed in 16-channel blocks of 4-tap groups for the integer
+// dot-product kernels (qgemm_*.cpp: AVX-512 VNNI vpdpbusd, AVX2
 // vpmaddubsw+vpmaddwd, NEON vdotq_s32, and a generic contract-defining
 // fallback). Activations are quantized per input vector to 7-bit
 // unsigned [0, 127] — per *vector*, not per tile, so results are
@@ -59,7 +64,6 @@
 namespace mandipass::nn {
 
 class Sequential;
-class BatchNorm2d;
 
 /// Bump allocator for per-forward intermediates. alloc() hands out
 /// uninitialised float storage from a list of fixed blocks; reset()
@@ -199,23 +203,29 @@ class PackedGemm {
   std::vector<float> bias_;     ///< padded to a block multiple
 };
 
-/// A Conv2d with its following BatchNorm2d folded in: row-major
-/// (out_channels, taps) weights and per-channel bias, ready to pack.
+/// One [Conv2d, BatchNorm2d, ReLU] block of a trained branch with the
+/// BatchNorm folded into the conv: the conv's own geometry plus folded
+/// weights and bias, ready to pack for either precision.
 struct FoldedConv {
-  std::size_t out_channels = 0;
-  std::size_t taps = 0;               ///< in_channels * kernel_h * kernel_w
-  std::vector<float> weights;         ///< (out_channels, taps) row-major
-  std::vector<float> bias;            ///< out_channels
+  Conv2dConfig config;
+  Tensor weights;           ///< (out_channels, taps) row-major
+  std::vector<float> bias;  ///< out_channels
 };
 
-/// Folds `bn`'s affine (off its running statistics) into `conv`'s
-/// weights and bias, in double: w' = w * s, b' = (b - mean) * s + beta
-/// with s = gamma / sqrt(var + eps). Used by the float plan compiler;
-/// core::QuantizedExtractor folds with the same formula at construction.
-FoldedConv fold_conv_bn(Conv2d& conv, BatchNorm2d& bn);
+/// Walks `branch`, which must be [Conv2d, BatchNorm2d, ReLU] x N (N >= 1)
+/// optionally followed by a single Flatten, and folds each BatchNorm2d's
+/// affine (off its running statistics, with that layer's own eps) into
+/// the preceding conv, in double: w' = w * s, b' = (b - mean) * s + beta
+/// with s = gamma / sqrt(var + eps). Throws ShapeError on any other
+/// layout. Reads running statistics, so the source must be in its final
+/// (trained) state. Feeds both the float and the int8 plan compilers.
+std::vector<FoldedConv> fold_branch(Sequential& branch);
 
-/// One fused Conv+BN+ReLU stage of a compiled branch.
-struct FusedConvStage {
+/// One conv stage's geometry for a fixed input plane, built from the
+/// stage's Conv2dConfig; shared by the float and int8 plans.
+struct ConvGeometry {
+  ConvGeometry(const Conv2dConfig& config, std::size_t h_in, std::size_t w_in);
+
   std::size_t in_channels = 0;
   std::size_t out_channels = 0;
   std::size_t h_in = 0, w_in = 0;
@@ -224,36 +234,57 @@ struct FusedConvStage {
   std::size_t positions = 0;  ///< h_out * w_out
   /// Flat source offset per (output position, tap); -1 = padding tap.
   std::vector<std::ptrdiff_t> patch_index;
-  PackedGemm gemm;  ///< folded weights, rows = out_channels, cols = taps
+
+  /// Floats in one (C, H, W) input plane / output feature map.
+  std::size_t input_count() const noexcept { return in_channels * h_in * w_in; }
+  std::size_t output_count() const noexcept { return out_channels * positions; }
 };
 
-/// A compiled [Conv2d + BatchNorm2d + ReLU] x N (+ Flatten) branch for a
-/// fixed input plane geometry. Compile once (after training), run many.
-class InferencePlan {
- public:
-  InferencePlan() = default;
+/// One fused Conv+BN+ReLU stage: its geometry plus the folded weights
+/// packed for one precision's GEMM (rows = out_channels, cols = taps).
+template <typename Gemm>
+struct ConvStage : ConvGeometry {
+  using ConvGeometry::ConvGeometry;
+  Gemm gemm;
+};
 
-  /// Compiles `branch` — which must be Conv2d/BatchNorm2d/ReLU triples
-  /// optionally followed by a single Flatten — for input planes of shape
-  /// (in_channels-of-first-conv, h_in, w_in). Reads running statistics,
-  /// so the source must be in its final (trained) state.
+/// The compiled stage list a branch plan of either precision holds, for
+/// a fixed input plane geometry. Compile once (after training), run many.
+template <typename Gemm>
+class StagedPlan {
+ public:
+  using Stage = ConvStage<Gemm>;
+
+  std::size_t input_count() const noexcept {
+    return stages_.empty() ? 0 : stages_.front().input_count();
+  }
+  /// Flattened features per sample, in the (C, H, W) order nn::Flatten
+  /// produces.
+  std::size_t feature_count() const noexcept {
+    return stages_.empty() ? 0 : stages_.back().output_count();
+  }
+  std::size_t stage_count() const noexcept { return stages_.size(); }
+  const Stage& stage(std::size_t i) const { return stages_[i]; }
+
+ protected:
+  std::vector<Stage> stages_;
+};
+
+/// The float branch plan: each stage gathers its im2col patches into the
+/// arena and runs one PackedGemm with the ReLU fused as its epilogue.
+class InferencePlan : public StagedPlan<PackedGemm> {
+ public:
+  /// Compiles fold_branch(branch) for input planes of shape
+  /// (in_channels-of-first-conv, h_in, w_in).
   static InferencePlan compile(Sequential& branch, std::size_t h_in, std::size_t w_in);
 
   /// Runs the branch on one sample: `plane` holds input_count() floats in
-  /// (C, H, W) order; the flattened features (feature_count() floats, the
-  /// same (C, H, W) order nn::Flatten produces) are written to `out`.
-  /// All intermediates come from `arena`; the caller owns reset() and
-  /// must hold the arena capability (assert_owner() in scope).
+  /// (C, H, W) order; the flattened features (feature_count() floats)
+  /// are written to `out`. All intermediates come from `arena`; the
+  /// caller owns reset() and must hold the arena capability
+  /// (assert_owner() in scope).
   void run(const float* plane, float* out, ScratchArena& arena) const
       MANDIPASS_REQUIRES(arena);
-
-  std::size_t input_count() const noexcept;
-  std::size_t feature_count() const noexcept;
-  std::size_t stage_count() const noexcept { return stages_.size(); }
-  const FusedConvStage& stage(std::size_t i) const { return stages_[i]; }
-
- private:
-  std::vector<FusedConvStage> stages_;
 };
 
 /// Names of every int8 kernel tier compiled into this binary, in
@@ -341,55 +372,22 @@ class PackedQuantizedGemm {
   std::vector<float> bias_;             ///< per row, padded
 };
 
-/// One conv layer of a quantized branch, described by its already
-/// BN-folded, already quantized weights. `weights` has rows ==
-/// config.out_channels and cols == in_channels * kernel_h * kernel_w;
-/// `bias` has out_channels entries. Pointers must outlive compile().
-struct QuantizedConvSpec {
-  Conv2dConfig config;
-  const QuantizedMatrix* weights = nullptr;
-  const float* bias = nullptr;
-};
-
-/// The int8 counterpart of InferencePlan: same fused single-pass
-/// geometry (im2col gather into the arena, one GEMM per stage with the
-/// ReLU fused as a dequantizing epilogue), but each stage multiplies
-/// through a PackedQuantizedGemm.
-class QuantizedInferencePlan {
+/// The int8 branch plan: same stages as InferencePlan, but each stage
+/// quantizes its input plane once, gathers im2col patches as bytes and
+/// multiplies through a PackedQuantizedGemm with the ReLU fused as a
+/// dequantizing epilogue.
+class QuantizedInferencePlan : public StagedPlan<PackedQuantizedGemm> {
  public:
-  QuantizedInferencePlan() = default;
-
-  /// Compiles from pre-quantized weights (the QuantizedExtractor path,
-  /// whose layers are already folded + quantized at construction).
-  static QuantizedInferencePlan compile(std::span<const QuantizedConvSpec> specs,
-                                        std::size_t h_in, std::size_t w_in);
+  /// Quantizes each folded block per row (nn::quantize_rows) and compiles
+  /// it for input planes of shape (in_channels-of-first-block, h_in,
+  /// w_in).
+  static QuantizedInferencePlan compile(std::span<const FoldedConv> blocks, std::size_t h_in,
+                                        std::size_t w_in);
 
   /// Runs the branch on one sample; contract identical to
   /// InferencePlan::run.
   void run(const float* plane, float* out, ScratchArena& arena) const
       MANDIPASS_REQUIRES(arena);
-
-  struct Stage {
-    std::size_t in_channels = 0;
-    std::size_t out_channels = 0;
-    std::size_t h_in = 0, w_in = 0;
-    std::size_t h_out = 0, w_out = 0;
-    std::size_t taps = 0;
-    std::size_t positions = 0;
-    std::vector<std::ptrdiff_t> patch_index;
-    PackedQuantizedGemm gemm;
-  };
-
-  std::size_t input_count() const noexcept;
-  std::size_t feature_count() const noexcept;
-  std::size_t stage_count() const noexcept { return stages_.size(); }
-  const Stage& stage(std::size_t i) const { return stages_[i]; }
-
-  /// Total packed int8 storage across stages.
-  std::size_t storage_bytes() const noexcept;
-
- private:
-  std::vector<Stage> stages_;
 };
 
 }  // namespace mandipass::nn

@@ -10,7 +10,6 @@
 #include <cstring>
 
 #include "common/error.h"
-#include "nn/conv2d.h"
 #include "nn/inference_plan.h"
 #include "nn/qgemm_kernels.h"
 
@@ -244,71 +243,19 @@ bool PackedQuantizedGemm::run_tier(const char* tier, const float* x, std::size_t
   return false;
 }
 
-namespace {
-
-QuantizedInferencePlan::Stage make_quantized_stage(const Conv2dConfig& cc,
-                                                   const QuantizedMatrix& q,
-                                                   const float* bias, std::size_t h,
-                                                   std::size_t w) {
-  QuantizedInferencePlan::Stage stage;
-  stage.in_channels = cc.in_channels;
-  stage.out_channels = cc.out_channels;
-  stage.h_in = h;
-  stage.w_in = w;
-  stage.h_out = Conv2d::out_extent(h, cc.kernel_h, cc.stride_h, cc.pad_h);
-  stage.w_out = Conv2d::out_extent(w, cc.kernel_w, cc.stride_w, cc.pad_w);
-  stage.taps = cc.in_channels * cc.kernel_h * cc.kernel_w;
-  stage.positions = stage.h_out * stage.w_out;
-  if (q.rows != cc.out_channels || q.cols != stage.taps) {
-    throw ShapeError("QuantizedInferencePlan: weight shape does not match conv config");
-  }
-  stage.patch_index = Conv2d::make_patch_index(cc, h, w);
-  stage.gemm.pack_rows(q, bias);
-  return stage;
-}
-
-}  // namespace
-
-QuantizedInferencePlan QuantizedInferencePlan::compile(
-    std::span<const QuantizedConvSpec> specs, std::size_t h_in, std::size_t w_in) {
-  if (specs.empty()) {
-    throw ShapeError("QuantizedInferencePlan::compile: empty spec list");
-  }
+QuantizedInferencePlan QuantizedInferencePlan::compile(std::span<const FoldedConv> blocks,
+                                                       std::size_t h_in, std::size_t w_in) {
   QuantizedInferencePlan plan;
-  std::size_t h = h_in;
-  std::size_t w = w_in;
-  for (const QuantizedConvSpec& spec : specs) {
-    MANDIPASS_EXPECTS(spec.weights != nullptr && spec.bias != nullptr);
-    Stage stage = make_quantized_stage(spec.config, *spec.weights, spec.bias, h, w);
-    h = stage.h_out;
-    w = stage.w_out;
-    plan.stages_.push_back(std::move(stage));
+  for (const FoldedConv& block : blocks) {
+    Stage& stage = plan.stages_.emplace_back(block.config, h_in, w_in);
+    MANDIPASS_EXPECTS(block.weights.rank() == 2 && block.weights.dim(0) == stage.out_channels &&
+                      block.weights.dim(1) == stage.taps &&
+                      block.bias.size() == stage.out_channels);
+    stage.gemm.pack_rows(quantize_rows(block.weights), block.bias.data());
+    h_in = stage.h_out;
+    w_in = stage.w_out;
   }
   return plan;
-}
-
-std::size_t QuantizedInferencePlan::input_count() const noexcept {
-  if (stages_.empty()) {
-    return 0;
-  }
-  const Stage& s = stages_.front();
-  return s.in_channels * s.h_in * s.w_in;
-}
-
-std::size_t QuantizedInferencePlan::feature_count() const noexcept {
-  if (stages_.empty()) {
-    return 0;
-  }
-  const Stage& s = stages_.back();
-  return s.out_channels * s.positions;
-}
-
-std::size_t QuantizedInferencePlan::storage_bytes() const noexcept {
-  std::size_t total = 0;
-  for (const Stage& s : stages_) {
-    total += s.gemm.storage_bytes();
-  }
-  return total;
 }
 
 void QuantizedInferencePlan::run(const float* plane, float* out, ScratchArena& arena) const {
@@ -324,7 +271,7 @@ void QuantizedInferencePlan::run(const float* plane, float* out, ScratchArena& a
     // thread bit-identity is unaffected. A padding tap gathers the
     // zero-point byte, which dequantizes to exactly 0 (the affine range
     // always includes 0).
-    const std::size_t plane_count = s.in_channels * s.h_in * s.w_in;
+    const std::size_t plane_count = s.input_count();
     auto* qplane = reinterpret_cast<std::uint8_t*>(
         arena.alloc((plane_count + sizeof(float) - 1) / sizeof(float)));
     float ascale = 0.0f;
@@ -348,7 +295,7 @@ void QuantizedInferencePlan::run(const float* plane, float* out, ScratchArena& a
       // value anyway so the accumulators never read indeterminate bytes.
       std::memset(dst + s.taps, 0, padded_taps - s.taps);
     }
-    float* next = si + 1 == stages_.size() ? out : arena.alloc(s.out_channels * s.positions);
+    float* next = si + 1 == stages_.size() ? out : arena.alloc(s.output_count());
     s.gemm.run_prequantized(patches, s.positions, ascale, zpf, next, s.positions,
                             Epilogue::Relu);
     cur = next;

@@ -146,5 +146,31 @@ TEST(QuantizedExtractor, WrongHalfLengthThrows) {
   EXPECT_THROW(qex.extract(bad), PreconditionError);
 }
 
+TEST(QuantizedExtractor, ShortAxisThrowsAtEveryEntryPoint) {
+  // half_length() reads axis 0 only: a shorter later axis must be
+  // rejected by every float and int8 entry point, not read past its end.
+  BiometricExtractor ex(tiny_config());
+  const QuantizedExtractor qex(ex);
+  for (const bool negative : {false, true}) {
+    GradientArray bad = random_gradient_array(80);
+    (negative ? bad.negative : bad.positive)[imu::kAxisCount - 1].resize(10);
+    const std::vector<GradientArray> batch = {random_gradient_array(81), bad};
+    EXPECT_THROW(ex.extract(bad), PreconditionError);
+    EXPECT_THROW(ex.extract_batch(batch), PreconditionError);
+    EXPECT_THROW(qex.extract(bad), PreconditionError);
+    EXPECT_THROW(qex.extract_batch(batch), PreconditionError);
+    EXPECT_THROW(qex.extract_scalar(bad), PreconditionError);
+    EXPECT_THROW(pack_branches(batch, ex.config().axes), PreconditionError);
+  }
+  // Axes past the configured K are never read, so they may be short.
+  ExtractorConfig k3 = tiny_config();
+  k3.axes = 3;
+  BiometricExtractor ex3(k3);
+  GradientArray partial = random_gradient_array(82);
+  partial.positive[imu::kAxisCount - 1].clear();
+  EXPECT_EQ(ex3.extract(partial).size(), k3.embedding_dim);
+  EXPECT_EQ(QuantizedExtractor(ex3).extract(partial).size(), k3.embedding_dim);
+}
+
 }  // namespace
 }  // namespace mandipass::core

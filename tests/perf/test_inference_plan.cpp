@@ -11,7 +11,10 @@
 //     between the single-sample and batched entry points;
 //   * accept/reject decisions through the cancelable-transform + Verifier
 //     pipeline are identical between the two paths;
-//   * the plan is invalidated (recompiled) after training and load().
+//   * the plan is invalidated (recompiled) after training and load();
+//   * nn::fold_branch accepts only [Conv2d, BatchNorm2d, ReLU] triples +
+//     optional Flatten, and folds each BatchNorm with its own eps at any
+//     conv geometry (hand-built branches, not just the paper's).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -25,6 +28,11 @@
 #include "common/thread_pool.h"
 #include "core/extractor.h"
 #include "core/trainer.h"
+#include "nn/batchnorm.h"
+#include "nn/conv2d.h"
+#include "nn/inference_plan.h"
+#include "nn/layers.h"
+#include "nn/sequential.h"
 
 namespace mandipass::core {
 namespace {
@@ -245,6 +253,129 @@ TEST_F(InferencePlanEquivalence, PlanIsInvalidatedByLoad) {
   trained.save(ss);
   loaded.load(ss);
   EXPECT_TRUE(bitwise_equal(trained.extract_batch(batch), loaded.extract_batch(batch)));
+}
+
+TEST(FoldBranch, RejectsAnyLayoutButChainedReluTriplesAndOptionalFlatten) {
+  Rng rng(3);
+  const auto conv = [&](std::size_t in, std::size_t out) {
+    nn::Conv2dConfig cc;
+    cc.in_channels = in;
+    cc.out_channels = out;
+    return std::make_unique<nn::Conv2d>(cc, rng);
+  };
+  const auto bn = [](std::size_t channels) { return std::make_unique<nn::BatchNorm2d>(channels); };
+  const auto relu = [] { return std::make_unique<nn::ReLU>(); };
+  const auto flatten = [] { return std::make_unique<nn::Flatten>(); };
+
+  nn::Sequential sigmoid;  // a non-ReLU activation
+  sigmoid.add(conv(1, 4)).add(bn(4)).add(std::make_unique<nn::Sigmoid>()).add(flatten());
+  EXPECT_THROW(nn::fold_branch(sigmoid), ShapeError);
+  EXPECT_THROW(nn::InferencePlan::compile(sigmoid, 6, 30), ShapeError);
+
+  nn::Sequential tail;  // a trailing layer that is not a Flatten
+  tail.add(conv(1, 4)).add(bn(4)).add(relu()).add(relu());
+  EXPECT_THROW(nn::fold_branch(tail), ShapeError);
+
+  nn::Sequential no_triples;
+  no_triples.add(flatten());
+  EXPECT_THROW(nn::fold_branch(no_triples), ShapeError);
+
+  nn::Sequential unchained;  // the second conv does not read the first's output
+  unchained.add(conv(1, 4)).add(bn(4)).add(relu()).add(conv(6, 8)).add(bn(8)).add(relu());
+  EXPECT_THROW(nn::fold_branch(unchained), ShapeError);
+
+  nn::Sequential narrow_bn;  // a BatchNorm narrower than its conv
+  narrow_bn.add(conv(1, 4)).add(bn(3)).add(relu());
+  EXPECT_THROW(nn::fold_branch(narrow_bn), ShapeError);
+
+  nn::Sequential no_flatten;  // the Flatten is optional
+  no_flatten.add(conv(1, 4)).add(bn(4)).add(relu()).add(conv(4, 8)).add(bn(8)).add(relu());
+  EXPECT_EQ(nn::fold_branch(no_flatten).size(), 2u);
+}
+
+TEST(FoldBranch, OwnEpsAndNonPaperGeometryMatchReferenceForward) {
+  // Every conv here differs from the paper's 3x3 / stride 1x2 / pad 1,
+  // and each BatchNorm has its own non-default eps, so a fold or stage
+  // geometry that assumed either would miss the reference by far more
+  // than the bound.
+  Rng rng(11);
+  nn::Conv2dConfig a;
+  a.in_channels = 2;
+  a.out_channels = 5;
+  a.kernel_h = 2;
+  a.kernel_w = 5;
+  a.stride_h = 2;
+  a.stride_w = 1;
+  a.pad_h = 0;
+  a.pad_w = 2;
+  nn::Conv2dConfig b;
+  b.in_channels = 5;
+  b.out_channels = 3;
+  b.kernel_h = 3;
+  b.kernel_w = 1;
+  b.stride_h = 1;
+  b.stride_w = 3;
+  b.pad_h = 1;
+  b.pad_w = 0;
+  nn::Sequential branch;
+  branch.add(std::make_unique<nn::Conv2d>(a, rng))
+      .add(std::make_unique<nn::BatchNorm2d>(a.out_channels, 0.1, 0.5))
+      .add(std::make_unique<nn::ReLU>())
+      .add(std::make_unique<nn::Conv2d>(b, rng))
+      .add(std::make_unique<nn::BatchNorm2d>(b.out_channels, 0.1, 2e-3))
+      .add(std::make_unique<nn::ReLU>())
+      .add(std::make_unique<nn::Flatten>());
+  const std::size_t h = 7;
+  const std::size_t w = 13;
+  const auto random_input = [&](std::size_t n) {
+    nn::Tensor x({n, a.in_channels, h, w});
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      x[i] = static_cast<float>(rng.normal(0.3, 1.0));
+    }
+    return x;
+  };
+  // Train-mode forwards move the running statistics off (0, 1); jittered
+  // parameters move gamma and beta off (1, 0).
+  for (int step = 0; step < 5; ++step) {
+    (void)branch.forward(random_input(4), /*train=*/true);
+  }
+  for (nn::Param* p : branch.params()) {
+    for (std::size_t i = 0; i < p->value.size(); ++i) {
+      p->value[i] += static_cast<float>(rng.normal(0.0, 0.2));
+    }
+  }
+
+  const nn::InferencePlan plan = nn::InferencePlan::compile(branch, h, w);
+  const nn::Tensor probe = random_input(1);
+  const nn::Tensor ref = branch.forward(probe, /*train=*/false);
+  ASSERT_EQ(plan.input_count(), probe.size());
+  ASSERT_EQ(plan.feature_count(), ref.size());
+  nn::ScratchArena arena;
+  arena.assert_owner();
+  std::vector<float> got(plan.feature_count());
+  plan.run(probe.data(), got.data(), arena);
+  float worst = 0.0f;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    worst = std::max(worst, std::abs(got[i] - ref[i]));
+  }
+  EXPECT_LE(worst, kEmbedTol);
+
+  // The int8 plan compiles the same folded blocks onto the same stage
+  // geometry; its 7-bit activations and int8 weights keep every feature
+  // within a few percent of the feature range.
+  const nn::QuantizedInferencePlan qplan =
+      nn::QuantizedInferencePlan::compile(nn::fold_branch(branch), h, w);
+  ASSERT_EQ(qplan.feature_count(), ref.size());
+  std::vector<float> q(qplan.feature_count());
+  arena.reset();
+  qplan.run(probe.data(), q.data(), arena);
+  float range = 0.0f;
+  float q_worst = 0.0f;
+  for (std::size_t i = 0; i < q.size(); ++i) {
+    range = std::max(range, std::abs(ref[i]));
+    q_worst = std::max(q_worst, std::abs(q[i] - ref[i]));
+  }
+  EXPECT_LE(q_worst, 5e-2f * range);
 }
 
 }  // namespace

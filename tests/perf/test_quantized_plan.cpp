@@ -15,7 +15,9 @@
 //   * a zero-scale weight row and an all-zero input vector both
 //     short-circuit to y = bias exactly;
 //   * worker arenas stop growing after one warm-up pass;
-//   * requantize() invalidates the cached plan.
+//   * requantize() recompiles the plan.
+// The extractor-level properties run at K = 6 and K = 3 involved axes
+// (Fig. 11(a)'s sweep).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -77,8 +79,9 @@ bool bitwise_equal(const std::vector<std::vector<float>>& a,
   return true;
 }
 
-ExtractorConfig small_config() {
+ExtractorConfig small_config(std::size_t axes) {
   ExtractorConfig cfg;
+  cfg.axes = axes;
   cfg.half_length = 30;
   cfg.embedding_dim = 32;
   cfg.channels = {4, 6, 8};
@@ -243,8 +246,17 @@ TEST_F(QuantizedPlanEquivalence, ZeroScaleRowAndZeroInputPassBiasThrough) {
   EXPECT_EQ(y[1 * 2 + 1], bias[1]) << "zero-scale row, huge input";
 }
 
-TEST_F(QuantizedPlanEquivalence, ExtractorBitIdenticalAcrossBatchAndThreads) {
-  BiometricExtractor ex(small_config());
+/// The extractor-level properties, once per involved-axes count K.
+class QuantizedExtractorEquivalence : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  void TearDown() override { common::ThreadPool::set_global_threads(1); }
+};
+
+INSTANTIATE_TEST_SUITE_P(Axes, QuantizedExtractorEquivalence,
+                         ::testing::Values(std::size_t{6}, std::size_t{3}));
+
+TEST_P(QuantizedExtractorEquivalence, ExtractorBitIdenticalAcrossBatchAndThreads) {
+  BiometricExtractor ex(small_config(GetParam()));
   train_briefly(ex, 31);
   const QuantizedExtractor qex(ex);
   for (const std::size_t batch_size :
@@ -260,8 +272,8 @@ TEST_F(QuantizedPlanEquivalence, ExtractorBitIdenticalAcrossBatchAndThreads) {
   }
 }
 
-TEST_F(QuantizedPlanEquivalence, SingleSampleMatchesBatchedBitExactly) {
-  BiometricExtractor ex(small_config());
+TEST_P(QuantizedExtractorEquivalence, SingleSampleMatchesBatchedBitExactly) {
+  BiometricExtractor ex(small_config(GetParam()));
   train_briefly(ex, 32);
   const QuantizedExtractor qex(ex);
   const auto batch = random_batch(7, ex.config().half_length, 210);
@@ -276,8 +288,8 @@ TEST_F(QuantizedPlanEquivalence, SingleSampleMatchesBatchedBitExactly) {
   }
 }
 
-TEST_F(QuantizedPlanEquivalence, PlanStaysWithinDriftBoundOfScalarReference) {
-  BiometricExtractor ex(small_config());
+TEST_P(QuantizedExtractorEquivalence, PlanStaysWithinDriftBoundOfScalarReference) {
+  BiometricExtractor ex(small_config(GetParam()));
   train_briefly(ex, 33);
   const QuantizedExtractor qex(ex);
   Rng rng(220);
@@ -292,8 +304,8 @@ TEST_F(QuantizedPlanEquivalence, PlanStaysWithinDriftBoundOfScalarReference) {
   }
 }
 
-TEST_F(QuantizedPlanEquivalence, SteadyStateDoesNotGrowArenas) {
-  BiometricExtractor ex(small_config());
+TEST_P(QuantizedExtractorEquivalence, SteadyStateDoesNotGrowArenas) {
+  BiometricExtractor ex(small_config(GetParam()));
   train_briefly(ex, 34);
   const QuantizedExtractor qex(ex);
   const auto batch = random_batch(32, ex.config().half_length, 230);
@@ -309,12 +321,12 @@ TEST_F(QuantizedPlanEquivalence, SteadyStateDoesNotGrowArenas) {
   }
 }
 
-TEST_F(QuantizedPlanEquivalence, RequantizeInvalidatesTheCachedPlan) {
-  BiometricExtractor ex(small_config());
+TEST_P(QuantizedExtractorEquivalence, RequantizeRecompilesThePlan) {
+  BiometricExtractor ex(small_config(GetParam()));
   train_briefly(ex, 35);
   QuantizedExtractor qex(ex);
   const auto batch = random_batch(3, ex.config().half_length, 240);
-  const auto before = qex.extract_batch(batch);  // compiles the initial plan
+  const auto before = qex.extract_batch(batch);
   train_briefly(ex, 36);
   qex.requantize(ex);
   const auto after = qex.extract_batch(batch);
