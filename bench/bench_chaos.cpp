@@ -242,7 +242,7 @@ int main(int argc, char** argv) {
   for (std::size_t round = 0; round < stall_rounds; ++round) {
     const auto deadline = common::Deadline::after_us(kBudgetUs, &clock);
     const auto t0 = wall_clock::now();
-    const auth::BatchResult result = resilient.verify_batch(stall_tape, deadline);
+    const auth::BatchResult result = resilient.verify_batch(stall_tape, nullptr, deadline);
     const double wall_us =
         std::chrono::duration<double, std::micro>(wall_clock::now() - t0).count();
     stall_expired_total += result.stats.expired;
@@ -363,7 +363,7 @@ int main(int argc, char** argv) {
   // exactly once (concurrent shards could race detection of one seed).
   common::ThreadPool serial_pool(1);
   const auth::BatchResult healed =
-      resilient.verify_batch(healthy_tape, {}, &serial_pool);
+      resilient.verify_batch(healthy_tape, &serial_pool);
   const std::uint64_t detected =
       common::obs::counter("auth.matrix_cache.poison_detected").value() - detected_before;
   std::size_t heal_mismatches = 0;

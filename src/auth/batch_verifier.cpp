@@ -150,7 +150,8 @@ BatchDecision BatchVerifier::verify_one(const std::string& user,
 CoalesceStats BatchVerifier::verify_coalesced(std::span<const VerifyRequest> requests,
                                               std::span<const std::size_t> indices,
                                               std::span<BatchDecision> decisions,
-                                              const common::Deadline& deadline) const {
+                                              const common::Deadline& deadline,
+                                              bool degraded) const {
   MANDIPASS_EXPECTS(decisions.size() == requests.size());
   CoalesceStats cs;
   if (indices.empty()) {
@@ -240,7 +241,16 @@ CoalesceStats BatchVerifier::verify_coalesced(std::span<const VerifyRequest> req
       }
       continue;
     }
-    const auto g = cache_->get(seed, dim);
+    // Degraded mode never builds a matrix: the breaker is engaged because
+    // the shard's dependencies are suspect, so a cold key is an honest
+    // typed shed rather than a multi-millisecond build.
+    const auto g = degraded ? cache_->peek(seed, dim) : cache_->get(seed, dim);
+    if (g == nullptr) {
+      for (const std::size_t k : members) {
+        mark_shed(decisions[valid[k]], "degraded mode: matrix not cached");
+      }
+      continue;
+    }
     cs.groups += 1;
     if (members.size() >= 2) {
       cs.coalesced += members.size();
@@ -258,6 +268,7 @@ CoalesceStats BatchVerifier::verify_coalesced(std::span<const VerifyRequest> req
       const std::size_t k = members[m];
       BatchDecision& out = decisions[valid[k]];
       out.known = true;
+      out.degraded = degraded;
       out.key_version = snaps[k]->key_version;
       out.decision = v.verify(std::span<const float>(transformed).subspan(m * dim, dim),
                               snaps[k]->data);

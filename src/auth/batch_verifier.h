@@ -76,7 +76,10 @@ struct BatchDecision {
   bool degraded = false;
 };
 
-/// Aggregate latency / throughput statistics of one verify_batch call.
+/// Aggregate statistics of one verify_batch call. The outcome counts come
+/// from tally() at every layer; the timing fields (wall_ms,
+/// mean_request_ms, max_request_ms, throughput_per_s) are filled only by
+/// BatchVerifier::verify_batch and stay 0 elsewhere.
 struct BatchStats {
   std::size_t requests = 0;
   std::size_t known = 0;           ///< requests that matched an enrolment
@@ -189,11 +192,18 @@ class BatchVerifier {
   /// a budget that dies mid-batch stops burning cycles on answers nobody
   /// will read. The default deadline is unlimited and costs one null
   /// check (bench_overhead's <2% gate covers this path).
+  ///
+  /// `degraded` is degraded mode (DESIGN.md §17.4), set by the resilience
+  /// layer for a shard whose circuit breaker is engaged: each group's
+  /// matrix comes from MatrixCache::peek instead of get, so nothing is
+  /// built; a miss sheds the group's members (typed Overloaded), and
+  /// every served decision carries the `degraded` bit. Snapshot, gates,
+  /// grouping, deadline checks and arithmetic are the healthy path's.
   CoalesceStats verify_coalesced(std::span<const VerifyRequest> requests,
                                  std::span<const std::size_t> indices,
                                  std::span<BatchDecision> decisions,
-                                 const common::Deadline& deadline = {}) const
-      MANDIPASS_EXCLUDES(mutex_);
+                                 const common::Deadline& deadline = {},
+                                 bool degraded = false) const MANDIPASS_EXCLUDES(mutex_);
 
   double threshold() const MANDIPASS_EXCLUDES(mutex_);
   void set_threshold(double t) MANDIPASS_EXCLUDES(mutex_);

@@ -1,7 +1,7 @@
 // Overload-resilient serving wrapper around the sharded engine
 // (DESIGN.md §17).
 //
-// ShardedVerifier (PR 7) gives throughput; ResilientVerifier gives
+// ShardedVerifier gives throughput; ResilientVerifier gives
 // *containment*. It wraps the 8-shard engine with, per shard:
 //
 //   * bounded admission — each verify_batch call admits at most
@@ -10,13 +10,18 @@
 //     unboundedly;
 //   * a CircuitBreaker driven by the shard's persistence probes
 //     (persist_shard) — while engaged, the shard serves *degraded mode*:
-//     verification restricted to matrices already in the shared
-//     MatrixCache (peek, never build), every decision carrying the
-//     explicit `degraded` bit;
+//     the engine's decision kernel with its `degraded` bit set, which
+//     takes matrices only from the shared MatrixCache (peek, never
+//     build) and marks every decision it serves `degraded`;
 //   * deadline enforcement — expired requests short-circuit to typed
 //     Expired decisions at admission, and scripted slow-shard stalls
-//     (ServiceFaultInjector) are applied as deadline *skew* inside the
+//     (ServiceFaultInjector) are applied as deadline *skew* before the
 //     shard fan-out.
+//
+// After admission and a serial stall/breaker pass, the batch goes to
+// ShardedVerifier::serve, the service's one shard fan-out, so healthy
+// and degraded shards alike get the kernel's single snapshot window,
+// coalesced transform and per-group deadline re-check.
 //
 // Request taxonomy after this layer (the §17 table):
 //   shed      never entered service (queue full / degraded cache miss)
@@ -29,12 +34,14 @@
 //     pure function of arrival order and queue capacity;
 //   * admission lists are local to each verify_batch call — concurrent
 //     callers never see, shed or serve each other's requests;
-//   * stalls are deadline skew, not clock advances or sleeps — expiry
-//     counts are independent of worker scheduling;
-//   * per-shard tallies are aggregated after the fan-out join — counter
-//     totals are identical for any thread count;
+//   * stalls are deadline skew, consumed and applied in a serial
+//     per-shard pass before the fan-out, not clock advances or sleeps —
+//     expiry counts are independent of worker scheduling;
+//   * the auth.resil.* outcome counters come from one tally() of the
+//     decisions after the fan-out join — identical for any thread count;
 //   * breaker state changes only through persistence probes and scripted
-//     clocks — the verify path reads state, never mutates it.
+//     clocks — the verify path reads it once per shard per call in the
+//     serial pass, never mutates it.
 #pragma once
 
 #include <cstddef>
@@ -97,15 +104,18 @@ class ResilientVerifier {
   /// Resilient batch verification; safe to call from several threads at
   /// once. Phase A admits serially in request order (deadline check,
   /// then the per-shard queue_capacity bound of this call; rejects become
-  /// typed Expired / Shed decisions and count auth.resil.{expired,shed};
-  /// admissions count auth.resil.admitted). Phase B fans the shards out
-  /// over `pool`: a stalled shard (injector skew) expires its whole
-  /// admitted set; a breaker-engaged shard serves degraded mode; healthy
-  /// shards run the normal coalesced path under `deadline`. Decisions of
-  /// healthy shards are bit-identical to ShardedVerifier::verify_batch.
+  /// typed Expired / Shed decisions; admissions count
+  /// auth.resil.admitted). Phase B passes over the shards serially — a
+  /// stalled shard (injector skew) expires its whole admitted list, a
+  /// breaker-engaged shard is marked degraded — then hands the lists to
+  /// ShardedVerifier::serve on `pool` under `deadline`. The batch's
+  /// shed / expired / degraded decisions count auth.resil.{shed,expired,
+  /// degraded}; sheds past admission count auth.resil.degraded_miss.
+  /// Decisions of healthy shards are bit-identical to
+  /// ShardedVerifier::verify_batch.
   BatchResult verify_batch(std::span<const VerifyRequest> requests,
-                           const common::Deadline& deadline = {},
-                           common::ThreadPool* pool = nullptr);
+                           common::ThreadPool* pool = nullptr,
+                           const common::Deadline& deadline = {});
 
   /// Persists shard `s` to `path` (crash-safe save + retry/backoff) and
   /// feeds the outcome to the shard's breaker. While the breaker is Open
@@ -115,13 +125,6 @@ class ResilientVerifier {
   common::Result<void> persist_shard(std::size_t s, const std::string& path);
 
  private:
-  /// Degraded-mode single verification on shard `s`: the shared
-  /// check_probe / check_template gate, then Verifier::verify, but the
-  /// Gaussian matrix comes from MatrixCache::peek — never built. A cache
-  /// miss is a typed Shed/Overloaded decision ("auth.resil.degraded_miss").
-  BatchDecision degraded_one(std::size_t s, const VerifyRequest& request,
-                             std::size_t* degraded_served, std::size_t* degraded_missed);
-
   ResilienceConfig config_;
   ShardedVerifier engine_;
   ServiceFaultInjector faults_;

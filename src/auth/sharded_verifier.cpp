@@ -1,8 +1,5 @@
 #include "auth/sharded_verifier.h"
 
-#include <algorithm>
-#include <chrono>
-
 #include "common/error.h"
 #include "common/obs.h"
 
@@ -60,71 +57,55 @@ BatchResult ShardedVerifier::verify_batch(std::span<const VerifyRequest> request
                                           common::ThreadPool* pool,
                                           const common::Deadline& deadline) const {
   MANDIPASS_OBS_TRACE(trace_batch, "auth.shard.batch_us");
-  using clock = std::chrono::steady_clock;
-  common::ThreadPool& tp = pool != nullptr ? *pool : common::ThreadPool::global();
-
+  // Route: per-shard index lists, in request order.
+  std::vector<ShardWork> work(shards_.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    work[shard_for(requests[i].user)].indices.push_back(i);
+  }
   BatchResult result;
   result.decisions.resize(requests.size());
+  serve(requests, work, result.decisions, pool, deadline);
+  result.stats = tally(result.decisions);
+  return result;
+}
 
-  // Route: per-shard index lists, in request order. Each index appears in
-  // exactly one list, so the shard fan-out below writes disjoint slots of
-  // result.decisions and needs no further synchronisation.
-  const std::size_t n_shards = shards_.size();
-  std::vector<std::vector<std::size_t>> routed(n_shards);
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    routed[shard_for(requests[i].user)].push_back(i);
-  }
+void ShardedVerifier::serve(std::span<const VerifyRequest> requests,
+                            std::span<const ShardWork> work, std::span<BatchDecision> decisions,
+                            common::ThreadPool* pool, const common::Deadline& deadline) const {
+  MANDIPASS_EXPECTS(work.size() == shards_.size());
+  common::ThreadPool& tp = pool != nullptr ? *pool : common::ThreadPool::global();
 
-  // Fan out one task per shard (grain 1). A pool lane holds at most one
-  // shard lock at a time and the MatrixCache lock is only taken after the
-  // shard's snapshot lock is released — no overlapping acquisition order
-  // exists, hence no deadlock. The per-shard work is independent of lane
-  // assignment, so decisions are identical for any thread count.
-  std::vector<CoalesceStats> shard_cs(n_shards);
-  std::vector<double> shard_ms(n_shards, 0.0);
-  const auto batch_start = clock::now();
-  tp.parallel_for(0, n_shards, 1, [&](std::size_t lo, std::size_t hi) {
+  // Fan out one task per shard (grain 1). Each index sits in one shard's
+  // list, so the tasks write disjoint decision slots and need no further
+  // synchronisation. A pool lane holds at most one shard lock at a time
+  // and the MatrixCache lock is only taken after the shard's snapshot
+  // lock is released — no overlapping acquisition order exists, hence no
+  // deadlock. The per-shard work is independent of lane assignment, so
+  // decisions are identical for any thread count.
+  std::vector<CoalesceStats> shard_cs(work.size());
+  tp.parallel_for(0, work.size(), 1, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t s = lo; s < hi; ++s) {
-      if (routed[s].empty()) {
-        continue;
+      if (!work[s].indices.empty()) {
+        shard_cs[s] = shards_[s]->verify_coalesced(requests, work[s].indices, decisions,
+                                                   deadline, work[s].degraded);
       }
-      const auto t0 = clock::now();
-      shard_cs[s] = shards_[s]->verify_coalesced(requests, routed[s], result.decisions, deadline);
-      shard_ms[s] = std::chrono::duration<double, std::milli>(clock::now() - t0).count();
     }
   });
-  const double wall_ms =
-      std::chrono::duration<double, std::milli>(clock::now() - batch_start).count();
 
   // Aggregate coalescing accounting after the join, on the caller thread,
   // so counter totals are exact and independent of lane interleaving.
-  CoalesceStats total_cs;
-  double sum_shard_ms = 0.0;
-  double max_amortized_ms = 0.0;
-  for (std::size_t s = 0; s < n_shards; ++s) {
-    total_cs.groups += shard_cs[s].groups;
-    total_cs.coalesced += shard_cs[s].coalesced;
-    total_cs.singletons += shard_cs[s].singletons;
-    sum_shard_ms += shard_ms[s];
-    if (!routed[s].empty()) {
-      max_amortized_ms =
-          std::max(max_amortized_ms, shard_ms[s] / static_cast<double>(routed[s].size()));
-    }
+  std::size_t routed = 0;
+  CoalesceStats total;
+  for (std::size_t s = 0; s < work.size(); ++s) {
+    routed += work[s].indices.size();
+    total.groups += shard_cs[s].groups;
+    total.coalesced += shard_cs[s].coalesced;
+    total.singletons += shard_cs[s].singletons;
   }
-  MANDIPASS_OBS_COUNT_N("auth.shard.verify_total", requests.size());
-  MANDIPASS_OBS_COUNT_N("auth.shard.coalesced_groups", total_cs.groups);
-  MANDIPASS_OBS_COUNT_N("auth.shard.coalesced_requests", total_cs.coalesced);
-  MANDIPASS_OBS_COUNT_N("auth.shard.singleton_requests", total_cs.singletons);
-
-  BatchStats& st = result.stats;
-  st = tally(result.decisions, wall_ms);
-  if (st.requests > 0) {
-    // Coalesced requests have no individual service time; report the
-    // amortized per-request cost (shard wall / shard requests) instead.
-    st.mean_request_ms = sum_shard_ms / static_cast<double>(st.requests);
-    st.max_request_ms = max_amortized_ms;
-  }
-  return result;
+  MANDIPASS_OBS_COUNT_N("auth.shard.verify_total", routed);
+  MANDIPASS_OBS_COUNT_N("auth.shard.coalesced_groups", total.groups);
+  MANDIPASS_OBS_COUNT_N("auth.shard.coalesced_requests", total.coalesced);
+  MANDIPASS_OBS_COUNT_N("auth.shard.singleton_requests", total.singletons);
 }
 
 double ShardedVerifier::threshold() const { return shards_.front()->threshold(); }

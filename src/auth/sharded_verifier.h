@@ -11,12 +11,15 @@
 //     platform and across runs — tests and baselines depend on it;
 //   * writes (enroll / revoke / set_threshold) go to exactly the owning
 //     shard and touch no other shard's lock;
-//   * verify_batch routes each request to its shard, then fans the
-//     shards out over the thread pool. Within a shard the requests are
-//     further grouped by Gaussian-matrix seed and each group runs as one
-//     packed-GEMM tile (BatchVerifier::verify_coalesced) — the Gaussian
-//     product is the dominant per-verification cost, and same-seed
-//     requests share one streaming pass over the packed matrix.
+//   * verify_batch routes each request to its shard, then hands the
+//     per-shard lists to serve(), the service's one shard fan-out (the
+//     resilience layer calls it too, after its own admission). serve()
+//     runs one BatchVerifier::verify_coalesced per non-empty shard on
+//     the thread pool: within a shard the requests are grouped by
+//     Gaussian-matrix seed and each group runs as one packed-GEMM tile —
+//     the Gaussian product is the dominant per-verification cost, and
+//     same-seed requests share one streaming pass over the packed
+//     matrix.
 //
 // Shard invariance: every decision is produced by the same snapshot +
 // transform + cosine pipeline as a lone BatchVerifier, and coalescing
@@ -55,6 +58,14 @@ namespace mandipass::auth {
 /// standard libraries and process runs.
 std::uint64_t user_shard_hash(std::string_view user);
 
+/// One shard's share of a batch, as serve() takes it: the request
+/// indices routed to the shard, in request order, and whether the shard
+/// serves degraded mode (BatchVerifier::verify_coalesced's `degraded`).
+struct ShardWork {
+  std::vector<std::size_t> indices;
+  bool degraded = false;
+};
+
 class ShardedVerifier {
  public:
   /// `shards` BatchVerifier instances (one per core is the intended
@@ -85,20 +96,31 @@ class ShardedVerifier {
   /// request has nothing to share a matrix pass with).
   BatchDecision verify_one(const std::string& user, std::span<const float> raw_probe) const;
 
-  /// Routes requests to their shards, fans the shards out over `pool`
-  /// (the global pool when null), and coalesces same-seed requests
-  /// within each shard into single packed-GEMM tiles. decisions[i]
-  /// always answers requests[i]; duplicate user ids are safe (they land
-  /// on one shard and are decided against one snapshot).
-  ///
-  /// `deadline` bounds the batch: each shard's
-  /// BatchVerifier::verify_coalesced answers an expired budget with typed
-  /// Expired decisions before any lock or GEMM, and re-checks it before
-  /// each GEMM group. The default is unlimited and adds one null check to
-  /// the fast path.
+  /// Routes requests to their shards, then serve()s them (healthy
+  /// mode on every shard). decisions[i] always answers requests[i];
+  /// duplicate user ids are safe (they land on one shard and are decided
+  /// against one snapshot). The stats carry outcome counts only.
   BatchResult verify_batch(std::span<const VerifyRequest> requests,
                            common::ThreadPool* pool = nullptr,
                            const common::Deadline& deadline = {}) const;
+
+  /// The shard fan-out: one BatchVerifier::verify_coalesced call per
+  /// non-empty work[s] on `pool` (the global pool when null), which
+  /// writes decisions[i] for each routed index i and leaves other slots
+  /// untouched. work.size() must equal shard_count(), each index must
+  /// appear at most once, in the list of the shard that owns its user,
+  /// and decisions.size() must equal requests.size().
+  /// auth.shard.{verify_total, coalesced_groups, coalesced_requests,
+  /// singleton_requests} are counted after the join on the caller
+  /// thread, so they do not depend on the thread count.
+  ///
+  /// `deadline` bounds the call: each shard's kernel answers an expired
+  /// budget with typed Expired decisions before any lock or GEMM, and
+  /// re-checks it before each GEMM group. An unlimited deadline adds one
+  /// null check to the fast path.
+  void serve(std::span<const VerifyRequest> requests, std::span<const ShardWork> work,
+             std::span<BatchDecision> decisions, common::ThreadPool* pool,
+             const common::Deadline& deadline) const;
 
   /// Operating threshold (uniform across shards; read from shard 0).
   double threshold() const;
@@ -108,15 +130,13 @@ class ShardedVerifier {
   /// on others — callers that need a clean cut quiesce traffic first.
   void set_threshold(double t);
 
-  /// The shared matrix cache (exposed for cache-warm accounting; the
-  /// non-const form feeds the resilience layer's degraded-mode peek and
-  /// the chaos harness's poison hook).
+  /// The shared matrix cache (exposed for accounting; the non-const form
+  /// lets callers warm it and the chaos harness poison it).
   const MatrixCache& matrix_cache() const { return *cache_; }
   MatrixCache& matrix_cache() { return *cache_; }
 
-  /// Direct shard access for the resilience layer (per-shard admission
-  /// queues, circuit breakers and persistence probes wrap individual
-  /// shards). Precondition: s < shard_count().
+  /// Direct shard access (the resilience layer's persistence probes save
+  /// individual shards). Precondition: s < shard_count().
   BatchVerifier& shard(std::size_t s) { return *shards_[s]; }
   const BatchVerifier& shard(std::size_t s) const { return *shards_[s]; }
 

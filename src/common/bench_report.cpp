@@ -277,6 +277,13 @@ CompareResult compare_reports(const BenchReport& baseline,
              " > tol " + fmt_double(tol) + ")");
       }
     }
+    // A counter the baseline never saw would otherwise go ungated: the
+    // workload started counting something new, so the baseline is stale.
+    for (const auto& cur_c : current.metrics.counters) {
+      if (find_counter(baseline.metrics, cur_c.name) == nullptr) {
+        flag("counter '" + cur_c.name + "' missing from baseline");
+      }
+    }
   }
 
   // Latency: p50/p95 growth beyond the relative budget plus absolute

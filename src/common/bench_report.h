@@ -88,9 +88,11 @@ struct CompareResult {
 };
 
 /// Diffs `current` against `baseline`. Regressions: a verdict that was
-/// passing and is now failing or missing; a counter outside tolerance; a
-/// latency quantile or wall time beyond the latency budget. Gauges and
-/// run metadata (git sha, threads, CPU time) are informational only.
+/// passing and is now failing or missing; a counter outside tolerance,
+/// missing from the current report, or new in it (absent from the
+/// baseline); a latency quantile or wall time beyond the latency budget.
+/// Gauges and run metadata (git sha, threads, CPU time) are
+/// informational only.
 CompareResult compare_reports(const BenchReport& baseline,
                               const BenchReport& current,
                               const CompareOptions& options);

@@ -263,8 +263,26 @@ struct Scenario {
 
 TEST(ResilientVerifier, HealthyPathIsTransparent) {
   Scenario sc(4);
+  // Both calls run the engine's one shard fan-out, so they report the
+  // same coalescing accounting.
+  const char* shard_names[] = {"auth.shard.verify_total", "auth.shard.coalesced_groups",
+                               "auth.shard.coalesced_requests", "auth.shard.singleton_requests"};
+  const auto shard_counters = [&] {
+    std::vector<std::uint64_t> values;
+    for (const char* name : shard_names) {
+      values.push_back(counter_value(name));
+    }
+    return values;
+  };
+  const std::vector<std::uint64_t> at_start = shard_counters();
   const BatchResult want = sc.reference.verify_batch(sc.requests);
+  const std::vector<std::uint64_t> after_reference = shard_counters();
   const BatchResult got = sc.resilient.verify_batch(sc.requests);
+  const std::vector<std::uint64_t> after_resilient = shard_counters();
+  for (std::size_t n = 0; n < std::size(shard_names); ++n) {
+    EXPECT_EQ(after_resilient[n] - after_reference[n], after_reference[n] - at_start[n])
+        << shard_names[n];
+  }
   ASSERT_EQ(got.decisions.size(), want.decisions.size());
   for (std::size_t i = 0; i < want.decisions.size(); ++i) {
     EXPECT_EQ(got.decisions[i].status, want.decisions[i].status) << i;
@@ -324,7 +342,7 @@ TEST(ResilientVerifier, ExpiredDeadlineRejectsAtAdmission) {
   const auto deadline = common::Deadline::after_us(50, &clock);
   clock.advance_us(50);
   const std::uint64_t expired_before = counter_value("auth.resil.expired");
-  const BatchResult got = sc.resilient.verify_batch(sc.requests, deadline);
+  const BatchResult got = sc.resilient.verify_batch(sc.requests, nullptr, deadline);
   EXPECT_EQ(got.stats.expired, sc.requests.size());
   EXPECT_EQ(got.stats.shed, 0u);
   for (const BatchDecision& d : got.decisions) {
@@ -343,7 +361,7 @@ TEST(ResilientVerifier, SlowShardStallExpiresExactlyItsOwnRequests) {
   // never advances, so the counts hold for any worker interleaving.
   sc.resilient.faults().arm_slow_shard(kStalled, 50'000, /*batches=*/1);
   const auto deadline = common::Deadline::after_us(5'000, &clock);
-  const BatchResult got = sc.resilient.verify_batch(sc.requests, deadline);
+  const BatchResult got = sc.resilient.verify_batch(sc.requests, nullptr, deadline);
 
   std::size_t routed_to_stalled = 0;
   for (std::size_t i = 0; i < sc.requests.size(); ++i) {
@@ -359,7 +377,7 @@ TEST(ResilientVerifier, SlowShardStallExpiresExactlyItsOwnRequests) {
   EXPECT_EQ(got.stats.expired, routed_to_stalled);
 
   // The single charge is spent: the next batch is fully healthy.
-  const BatchResult next = sc.resilient.verify_batch(sc.requests, deadline);
+  const BatchResult next = sc.resilient.verify_batch(sc.requests, nullptr, deadline);
   EXPECT_EQ(next.stats.expired, 0u);
   EXPECT_EQ(next.stats.known, sc.requests.size());
 }
@@ -507,8 +525,16 @@ TEST(ResilientVerifier, PoisonedCacheEntrySelfHealsThroughService) {
 TEST(ResilientVerifier, CountersAreThreadCountInvariant) {
   ResilienceConfig config;
   config.queue_capacity = 3;
-  const char* names[] = {"auth.resil.admitted", "auth.resil.shed", "auth.resil.expired",
-                         "auth.resil.degraded", "auth.resil.degraded_miss"};
+  const char* names[] = {"auth.resil.admitted",
+                         "auth.resil.shed",
+                         "auth.resil.expired",
+                         "auth.resil.degraded",
+                         "auth.resil.degraded_miss",
+                         "auth.shard.verify_total",
+                         "auth.shard.coalesced_groups",
+                         "auth.shard.coalesced_requests",
+                         "auth.shard.singleton_requests",
+                         "auth.batch.verify_total"};
   std::vector<std::uint64_t> deltas;
   for (const std::size_t workers : {1u, 4u}) {
     Scenario sc(4, config, /*users=*/20);
@@ -517,7 +543,7 @@ TEST(ResilientVerifier, CountersAreThreadCountInvariant) {
     for (const char* name : names) {
       before.push_back(counter_value(name));
     }
-    const BatchResult got = sc.resilient.verify_batch(sc.requests, {}, &pool);
+    const BatchResult got = sc.resilient.verify_batch(sc.requests, &pool);
     std::vector<std::uint64_t> delta;
     for (std::size_t n = 0; n < std::size(names); ++n) {
       delta.push_back(counter_value(names[n]) - before[n]);

@@ -210,6 +210,19 @@ TEST(BenchCompare, MissingCounterFires) {
   EXPECT_EQ(compare_reports(base, cur, {}).exit_code(), 1);
 }
 
+TEST(BenchCompare, UnexpectedCounterFires) {
+  // A counter absent from the baseline means the workload started
+  // counting something new; it must not pass ungated.
+  const BenchReport base = sample_report();
+  BenchReport cur = base;
+  cur.metrics.counters.push_back({"bench.new_events", 3});
+  EXPECT_EQ(compare_reports(base, cur, {}).exit_code(), 1);
+  // Only when counters are compared.
+  CompareOptions opts;
+  opts.skip_counters = true;
+  EXPECT_EQ(compare_reports(base, cur, opts).exit_code(), 0);
+}
+
 TEST(BenchCompare, VerdictFlipFires) {
   const BenchReport base = sample_report();
   BenchReport cur = base;

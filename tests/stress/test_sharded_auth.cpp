@@ -15,10 +15,12 @@
 //
 // The resilient wrapper gets the same treatment for its callers:
 // concurrent verify_batch calls on one ResilientVerifier must each be
-// decided exactly as a lone caller's would be.
+// decided exactly as a lone caller's would be, and its degraded mode must
+// decide duplicates against one snapshot, as the healthy path does.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,6 +28,7 @@
 #include "auth/gaussian_matrix.h"
 #include "auth/resilience/resilient_verifier.h"
 #include "auth/sharded_verifier.h"
+#include "common/deadline.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 
@@ -183,19 +186,28 @@ TEST(ShardedAuthStress, StormAcrossShardsNeverObservesTornState) {
   EXPECT_EQ(engine.size(), kUsers);
 }
 
+// What one duplicate-heavy churn storm observed.
+struct StormFindings {
+  std::size_t misplaced = 0;  ///< decisions off their generation's distance, or wrongly typed
+  std::size_t split = 0;      ///< batches whose alice decisions used several key versions
+};
+
 // Many threads hammering verify_batch with duplicate-heavy batches while
-// writers churn the duplicated user: the regression scenario for the
-// router deadlock/order-inversion fix, under real contention. The test
-// passing at all proves no deadlock; the index-alignment checks prove
-// order; tsan/asan prove the memory story.
-TEST(ShardedAuthStress, DuplicateHeavyBatchesUnderChurnStayOrdered) {
-  ShardedVerifier engine(kShards);
-  const UserFixture fa = make_user_fixture(0);
-  const UserFixture fb = make_user_fixture(1);
+// a writer re-keys the duplicated user, on `engine` (a ShardedVerifier or
+// a ResilientVerifier): the regression scenario for the router
+// deadlock/order-inversion fix, under real contention. The storm ending
+// at all proves no deadlock; the index-alignment checks prove order; the
+// per-batch version check proves the duplicates share one snapshot;
+// tsan/asan prove the memory story. With `expect_degraded` every decision
+// must also be served, and served degraded.
+template <typename Engine>
+StormFindings duplicate_heavy_storm(Engine& engine, const UserFixture& fa, const UserFixture& fb,
+                                    bool expect_degraded) {
   engine.enroll("alice", fa.generations[0].tmpl);
   engine.enroll("bob", fb.generations[0].tmpl);
 
   std::atomic<std::size_t> misplaced{0};
+  std::atomic<std::size_t> split{0};
   std::atomic<bool> stop{false};
 
   std::thread churn([&] {
@@ -223,8 +235,14 @@ TEST(ShardedAuthStress, DuplicateHeavyBatchesUnderChurnStayOrdered) {
           }
         }
         const BatchResult result = engine.verify_batch(requests);
+        std::optional<std::uint32_t> alice_version;
+        bool alice_split = false;
         for (std::size_t i = 0; i < 16; ++i) {
           const BatchDecision& d = result.decisions[i];
+          if (expect_degraded && !(d.known && d.degraded)) {
+            misplaced.fetch_add(1, std::memory_order_relaxed);
+            continue;
+          }
           if (!d.known) {
             continue;
           }
@@ -233,6 +251,13 @@ TEST(ShardedAuthStress, DuplicateHeavyBatchesUnderChurnStayOrdered) {
               d.decision.distance != f.generations[d.key_version].expected_distance) {
             misplaced.fetch_add(1, std::memory_order_relaxed);
           }
+          if (i % 2 == 0) {
+            alice_split = alice_split || (alice_version && *alice_version != d.key_version);
+            alice_version = d.key_version;
+          }
+        }
+        if (alice_split) {
+          split.fetch_add(1, std::memory_order_relaxed);
         }
       }
     });
@@ -243,8 +268,39 @@ TEST(ShardedAuthStress, DuplicateHeavyBatchesUnderChurnStayOrdered) {
   stop.store(true, std::memory_order_release);
   churn.join();
   common::ThreadPool::set_global_threads(1);
+  return {misplaced.load(), split.load()};
+}
 
-  EXPECT_EQ(misplaced.load(), 0u);
+TEST(ShardedAuthStress, DuplicateHeavyBatchesUnderChurnStayOrdered) {
+  const UserFixture fa = make_user_fixture(0);
+  const UserFixture fb = make_user_fixture(1);
+
+  ShardedVerifier engine(kShards);
+  const StormFindings healthy = duplicate_heavy_storm(engine, fa, fb, false);
+  EXPECT_EQ(healthy.misplaced, 0u);
+  EXPECT_EQ(healthy.split, 0u);
+
+  // Degraded mode on every shard: each breaker tripped, and a virtual
+  // clock that never advances keeps it from cooling down. Every
+  // generation's matrix is cached, so every request is served — exactly,
+  // degraded, and against one snapshot per batch like the healthy path.
+  common::VirtualClock clock;
+  resilience::ResilienceConfig config;
+  config.clock = &clock;
+  config.breaker.failure_threshold = 1;
+  resilience::ResilientVerifier service(kShards, config);
+  for (std::size_t s = 0; s < kShards; ++s) {
+    service.breaker(s).record_failure();
+    ASSERT_TRUE(service.breaker(s).engaged());
+  }
+  for (const UserFixture* f : {&fa, &fb}) {
+    for (const Generation& gen : f->generations) {
+      ASSERT_NE(service.engine().matrix_cache().get(gen.tmpl.matrix_seed, kDim), nullptr);
+    }
+  }
+  const StormFindings degraded = duplicate_heavy_storm(service, fa, fb, true);
+  EXPECT_EQ(degraded.misplaced, 0u);
+  EXPECT_EQ(degraded.split, 0u);
 }
 
 // Two callers share one ResilientVerifier, each calling verify_batch over
