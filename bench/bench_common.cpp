@@ -89,7 +89,7 @@ Scale active_scale() {
 }
 
 std::size_t init_bench(int& argc, char** argv) {
-  std::size_t threads = 0;  // 0 = hardware concurrency
+  std::size_t threads = 0;  // 0 = one lane per CPU in the affinity mask
   bool json_enabled = false;
   std::string json_path;
 

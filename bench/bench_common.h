@@ -48,7 +48,8 @@ Scale active_scale();
 /// Parses the shared bench CLI flags and configures the global thread
 /// pool. Every bench main() calls this first:
 ///
-///   --threads N     size the pool to N lanes (default: all hardware cores)
+///   --threads N     size the pool to N lanes (default: one per CPU in the
+///                   affinity mask)
 ///   --json [PATH]   on exit, write a schema-versioned BenchReport
 ///                   (common/bench_report.h) with the run's metadata,
 ///                   common::obs metric snapshot, and recorded verdicts;

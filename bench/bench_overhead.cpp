@@ -81,6 +81,17 @@ void BM_MandiblePrintExtraction(benchmark::State& state) {
 }
 BENCHMARK(BM_MandiblePrintExtraction)->Unit(benchmark::kMicrosecond);
 
+// Rebuilding the key from its seed: the facade pays this on every
+// verify and every re-key (it keeps no matrix cache).
+void BM_KeyBuild(benchmark::State& state) {
+  Fixture& f = Fixture::instance();
+  for (auto _ : state) {
+    const auth::GaussianMatrix g(42, f.print.size());
+    benchmark::DoNotOptimize(g);
+  }
+}
+BENCHMARK(BM_KeyBuild)->Unit(benchmark::kMicrosecond);
+
 void BM_CancelableTransform(benchmark::State& state) {
   Fixture& f = Fixture::instance();
   const auth::GaussianMatrix g(42, f.print.size());

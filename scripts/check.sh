@@ -8,7 +8,8 @@
 #      committed baseline (counters/verdicts only; latency is
 #      machine-specific); it runs them all before failing the step
 #   3. serving benchmark: perfbench/run.py --test builds perfbench from
-#      source into build/perfbench and runs its self-test
+#      source into build/perfbench and runs its self-test, then runs each
+#      workload for 2 s, gated on the exit code of its decision oracle
 #   4. asan preset:    ASan+UBSan instrumented build + ctest
 #   5. tsan preset:    TSan instrumented build + ctest
 #   6. clang-tidy over src/ (skipped if clang-tidy is not installed)
@@ -55,8 +56,15 @@ step_default() {
 # perfbench/ (run by BENCHMARK.json) is a stand-alone CMake project over
 # the library targets and calls the public auth/core entry points, so
 # building it here catches an API change that would break the benchmark.
+# Each workload exits 1 when any decision differs from its public-call
+# oracle; that exit code is the gate, never the printed figures.
 step_perfbench() {
-  CARGO_TARGET_DIR=build python3 perfbench/run.py --test
+  CARGO_TARGET_DIR=build python3 perfbench/run.py --test || return 1
+  local w
+  for w in device_e2e service_epoch_hot service_peruser_keys; do
+    CARGO_TARGET_DIR=build python3 perfbench/run.py --workload "$w" --seed 1 \
+      --seconds 2 --trace 0 || return 1
+  done
 }
 
 step_asan() {
@@ -73,7 +81,7 @@ step_tsan() {
 
 run_step "default build (warnings-as-errors) + ctest" step_default
 run_step "bench smoke + bench_compare vs committed baselines" scripts/bench_smoke.sh
-run_step "serving benchmark build + self-test" step_perfbench
+run_step "serving benchmark build + self-test + oracle runs" step_perfbench
 if [ "$FAST" -eq 0 ]; then
   run_step "ASan+UBSan build + ctest" step_asan
   run_step "TSan build + ctest" step_tsan

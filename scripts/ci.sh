@@ -32,9 +32,16 @@ job_build_werror() {
 
 # Mirrors the perfbench CI job: builds the serving benchmark (a stand-alone
 # CMake project over the library targets) into build/perfbench and runs
-# its self-test, so an API change that breaks the benchmark fails CI.
+# its self-test, so an API change that breaks the benchmark fails CI; then
+# runs each workload briefly, gated only on its exit code, which is 1 when
+# any decision differs from the workload's public-call oracle.
 job_perfbench() {
-  CARGO_TARGET_DIR=build python3 perfbench/run.py --test
+  CARGO_TARGET_DIR=build python3 perfbench/run.py --test || return 1
+  local w
+  for w in device_e2e service_epoch_hot service_peruser_keys; do
+    CARGO_TARGET_DIR=build python3 perfbench/run.py --workload "$w" --seed 1 \
+      --seconds 2 --trace 0 || return 1
+  done
 }
 
 # Mirrors the no-simd CI job: the generic int32 fallback tier must pass

@@ -10,11 +10,11 @@
 //     re-keying is just drawing a fresh seed.
 //
 // Concurrency: a GaussianMatrix is immutable after construction (the
-// packed kernel is built in the ctor; transform() is const and touches
-// no mutable state), so const instances are freely shared across threads
-// — the seed-keyed MatrixCache (auth/matrix_cache.h) hands out
-// shared_ptr<const GaussianMatrix> and only its own map and recency list
-// are lock-guarded (MANDIPASS_GUARDED_BY(MatrixCache::mutex_)).
+// packed kernel is built, row-parallel, in the ctor; transform() is const
+// and touches no mutable state), so const instances are freely shared
+// across threads — the seed-keyed MatrixCache (auth/matrix_cache.h)
+// hands out shared_ptr<const GaussianMatrix> and only its own map and
+// recency list are lock-guarded (MANDIPASS_GUARDED_BY(MatrixCache::mutex_)).
 #pragma once
 
 #include <cstdint>
@@ -28,7 +28,17 @@ namespace mandipass::auth {
 class GaussianMatrix {
  public:
   /// Builds the dim x dim matrix with i.i.d. N(0, 1/dim) entries from
-  /// `seed`. Two instances with equal (seed, dim) are identical.
+  /// `seed`: G[i][j] is the (i * dim + j)-th Rng(seed).normal() draw,
+  /// scaled. Two instances with equal (seed, dim) are identical.
+  ///
+  /// The rows are split across the global pool (common::parallel_for) and
+  /// written straight into the packed layout. Each lane seeds its own
+  /// Rng and skips the draws of the rows before its first
+  /// (Rng::discard_normals), so every entry, and checksum(), is the same
+  /// at any lane count; a build started inside a pool lane (shard
+  /// fan-out, a parallel oracle) runs inline. Since the caller waits on
+  /// the pool, never construct one while holding a lock that a pool
+  /// chunk may wait on.
   GaussianMatrix(std::uint64_t seed, std::size_t dim);
 
   /// x' = x * G. Precondition: x.size() == dim().

@@ -79,6 +79,22 @@ double Rng::normal() {
   return mag * std::cos(2.0 * std::numbers::pi * u2);
 }
 
+void Rng::discard_normals(std::uint64_t n) {
+  if (n > 0 && has_spare_) {
+    has_spare_ = false;
+    --n;
+  }
+  for (; n >= 2; n -= 2) {
+    // The draws of normal()'s pair, minus the transform.
+    while (uniform() <= 0.0) {
+    }
+    (*this)();
+  }
+  if (n == 1) {
+    normal();
+  }
+}
+
 double Rng::normal(double mean, double stddev) {
   MANDIPASS_EXPECTS(stddev >= 0.0);
   return mean + stddev * normal();

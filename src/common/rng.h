@@ -45,6 +45,14 @@ class Rng {
   /// Normal with the given mean and standard deviation.
   double normal(double mean, double stddev);
 
+  /// Leaves the generator exactly as `n` calls to normal() would, without
+  /// evaluating the log, sqrt and sincos of the pairs it skips: a pending
+  /// spare is consumed first, each skipped pair costs its two raw draws
+  /// (plus the re-draw of a zero u1), and an odd tail runs one real
+  /// normal() so that its spare is pending afterwards. Lets a parallel
+  /// lane start mid-stream with the same values a serial walk would draw.
+  void discard_normals(std::uint64_t n);
+
   /// Log-normal: exp(normal(mu, sigma)). Handy for strictly positive
   /// physiological parameters.
   double lognormal(double mu, double sigma);

@@ -1,5 +1,6 @@
 #include "common/thread_pool.h"
 
+#include <algorithm>
 #include <condition_variable>
 #include <exception>
 #include <thread>
@@ -8,6 +9,10 @@
 #include "common/error.h"
 #include "common/mutex.h"
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 namespace mandipass::common {
 
 namespace {
@@ -15,6 +20,19 @@ namespace {
 // issued from such a thread runs inline instead of re-entering a queue
 // (prevents deadlock when every worker blocks on a nested region).
 thread_local bool t_inside_pool = false;
+
+// CPUs the calling thread may run on; hardware_concurrency() counts the
+// whole machine even under taskset or a cpuset.
+std::size_t default_lanes() {
+#if defined(__linux__)
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    return static_cast<std::size_t>(CPU_COUNT(&mask));  // never empty on success
+  }
+#endif
+  return std::max(1U, std::thread::hardware_concurrency());
+}
 }  // namespace
 
 struct ThreadPool::Impl {
@@ -50,10 +68,7 @@ struct ThreadPool::Impl {
 
 ThreadPool::ThreadPool(std::size_t threads) : impl_(std::make_unique<Impl>()) {
   if (threads == 0) {
-    threads = std::thread::hardware_concurrency();
-    if (threads == 0) {
-      threads = 1;
-    }
+    threads = default_lanes();
   }
   impl_->lanes = threads;
   impl_->workers.reserve(threads - 1);

@@ -26,7 +26,9 @@ class ThreadPool {
   /// Creates a pool with `threads` execution lanes (the caller of
   /// parallel_for counts as one lane, so `threads` total OS threads
   /// participate and `threads - 1` workers are spawned). `threads == 0`
-  /// selects std::thread::hardware_concurrency().
+  /// selects the number of CPUs in the calling thread's affinity mask, so
+  /// a pinned or cpuset-limited process does not oversubscribe its CPUs
+  /// (std::thread::hardware_concurrency() where the mask cannot be read).
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 
@@ -45,11 +47,11 @@ class ThreadPool {
   void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
                     const std::function<void(std::size_t, std::size_t)>& body);
 
-  /// Process-wide pool, created on first use (default: hardware size).
+  /// Process-wide pool, created on first use (default size, as above).
   static ThreadPool& global();
 
-  /// Replaces the global pool with one of `threads` lanes (0 = hardware
-  /// concurrency). Must not be called while a parallel region is
+  /// Replaces the global pool with one of `threads` lanes (0 = default
+  /// size). Must not be called while a parallel region is
   /// executing on the global pool.
   static void set_global_threads(std::size_t threads);
 

@@ -79,14 +79,18 @@ ScratchArena& thread_scratch_arena() {
   return arena;
 }
 
-void PackedGemm::pack_rows(const float* w, const float* bias, std::size_t rows,
-                           std::size_t cols) {
+void PackedGemm::reset(std::size_t rows, std::size_t cols) {
   MANDIPASS_EXPECTS(rows > 0 && cols > 0);
   rows_ = rows;
   cols_ = cols;
   const std::size_t blocks = (rows + kOcBlock - 1) / kOcBlock;
   weights_.assign(blocks * cols * kOcBlock, 0.0f);
   bias_.assign(blocks * kOcBlock, 0.0f);
+}
+
+void PackedGemm::pack_rows(const float* w, const float* bias, std::size_t rows,
+                           std::size_t cols) {
+  reset(rows, cols);
   for (std::size_t r = 0; r < rows; ++r) {
     const std::size_t blk = r / kOcBlock;
     const std::size_t j = r % kOcBlock;
@@ -99,23 +103,10 @@ void PackedGemm::pack_rows(const float* w, const float* bias, std::size_t rows,
   }
 }
 
-void PackedGemm::pack_columns(const float* w, const float* bias, std::size_t rows,
-                              std::size_t cols) {
-  MANDIPASS_EXPECTS(rows > 0 && cols > 0);
-  rows_ = rows;
-  cols_ = cols;
-  const std::size_t blocks = (rows + kOcBlock - 1) / kOcBlock;
-  weights_.assign(blocks * cols * kOcBlock, 0.0f);
-  bias_.assign(blocks * kOcBlock, 0.0f);
-  for (std::size_t r = 0; r < rows; ++r) {
-    const std::size_t blk = r / kOcBlock;
-    const std::size_t j = r % kOcBlock;
-    for (std::size_t k = 0; k < cols; ++k) {
-      weights_[(blk * cols + k) * kOcBlock + j] = w[k * rows + r];
-    }
-    if (bias != nullptr) {
-      bias_[r] = bias[r];
-    }
+void PackedGemm::write_column(std::size_t c, std::span<const float> column) {
+  MANDIPASS_EXPECTS(c < cols_ && column.size() == rows_);
+  for (std::size_t r = 0; r < rows_; ++r) {
+    weights_[((r / kOcBlock) * cols_ + c) * kOcBlock + r % kOcBlock] = column[r];
   }
 }
 

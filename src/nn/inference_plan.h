@@ -150,10 +150,18 @@ class PackedGemm {
   /// entries or is nullptr for an all-zero bias.
   void pack_rows(const float* w, const float* bias, std::size_t rows, std::size_t cols);
 
-  /// Packs the transpose: `w` is row-major (cols, rows) and logical
-  /// W[r][c] = w[c * rows + r]. Used for right-multiplication layouts
-  /// such as the Gaussian cancelable transform x' = x * G.
-  void pack_columns(const float* w, const float* bias, std::size_t rows, std::size_t cols);
+  /// Sizes the packed buffers for a (rows, cols) matrix with every weight
+  /// and bias zero, to be filled in place with write_column().
+  void reset(std::size_t rows, std::size_t cols);
+
+  /// Writes column c of W in place: W[r][c] = column[r] for r < rows().
+  /// Column c of W is row c of a right-multiplication operand (x' = x * G
+  /// packs W = G^T), so such an operand is packed row by row as it is
+  /// generated, with no row-major copy and no transpose pass. Distinct
+  /// columns occupy disjoint floats, so threads may write distinct
+  /// columns of one matrix concurrently.
+  /// Precondition: c < cols() and column.size() == rows().
+  void write_column(std::size_t c, std::span<const float> column);
 
   /// For every input vector xi in [0, x_count) and output row r:
   ///   y[r * y_stride + xi] =

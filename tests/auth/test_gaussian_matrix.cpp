@@ -2,14 +2,89 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstring>
+#include <memory>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "auth/cosine.h"
+#include "common/crc32.h"
 #include "common/error.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 
 namespace mandipass::auth {
 namespace {
+
+/// G drawn the serial way: one Rng(seed), row-major G[i][j] = the
+/// (i * dim + j)-th normal(0, 1/sqrt(dim)).
+std::vector<float> serial_reference(std::uint64_t seed, std::size_t dim) {
+  Rng rng(seed);
+  const double sigma = 1.0 / std::sqrt(static_cast<double>(dim));
+  std::vector<float> g(dim * dim);
+  for (float& v : g) {
+    v = static_cast<float>(rng.normal(0.0, sigma));
+  }
+  return g;
+}
+
+/// CRC of `g` packed per nn::PackedGemm's documented layout for W = G^T:
+/// packed[(block * dim + k) * 16 + j] = G[k][block * 16 + j], tails zero.
+std::uint32_t reference_checksum(const std::vector<float>& g, std::size_t dim) {
+  constexpr std::size_t kB = nn::PackedGemm::kOcBlock;
+  const std::size_t blocks = (dim + kB - 1) / kB;
+  std::vector<float> packed(blocks * dim * kB, 0.0f);
+  for (std::size_t r = 0; r < dim; ++r) {
+    for (std::size_t k = 0; k < dim; ++k) {
+      packed[((r / kB) * dim + k) * kB + r % kB] = g[k * dim + r];
+    }
+  }
+  return common::crc32(packed.data(), packed.size() * sizeof(float));
+}
+
+/// Expects `m` to hold exactly `g`: transform_batch of the identity reads
+/// G back entry by entry (every product but x[i] * G[i][j] is an exact
+/// zero, so out[i * dim + j] == G[i][j] bit for bit), and checksum() must
+/// match the reference packing, zero padding included.
+void expect_bits(const GaussianMatrix& m, const std::vector<float>& g, const std::string& what) {
+  const std::size_t dim = m.dim();
+  std::vector<float> identity(dim * dim, 0.0f);
+  for (std::size_t i = 0; i < dim; ++i) {
+    identity[i * dim + i] = 1.0f;
+  }
+  std::vector<float> read(dim * dim);
+  m.transform_batch(identity, dim, read);
+  std::size_t mismatches = 0;
+  for (std::size_t e = 0; e < g.size(); ++e) {
+    if (std::memcmp(&read[e], &g[e], sizeof(float)) != 0 && mismatches++ < 3) {
+      ADD_FAILURE() << what << ": G[" << e / dim << "][" << e % dim << "] = " << read[e]
+                    << ", serial draw " << g[e];
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << what;
+  EXPECT_EQ(m.checksum(), reference_checksum(g, dim)) << what;
+}
+
+/// Restores the global pool's size when a test that resizes it ends.
+class GlobalPoolGuard {
+ public:
+  GlobalPoolGuard() : lanes_(common::ThreadPool::global_thread_count()) {}
+  ~GlobalPoolGuard() { common::ThreadPool::set_global_threads(lanes_); }
+  GlobalPoolGuard(const GlobalPoolGuard&) = delete;
+  GlobalPoolGuard& operator=(const GlobalPoolGuard&) = delete;
+
+ private:
+  std::size_t lanes_;
+};
+
+// Odd dims put a Box-Muller pair across a row boundary; 127 and 257 are
+// large enough to fan out, so a pair also straddles a lane boundary.
+constexpr std::size_t kPinnedDims[] = {1, 3, 17, 37, 64, 127, 256, 257, 512};
+constexpr std::uint64_t kPinnedSeeds[] = {0, 7, 0x9E3779B97F4A7C15ULL};
+constexpr std::size_t kLaneCounts[] = {1, 2, 3, 4, 8};
 
 std::vector<float> random_vec(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
@@ -101,6 +176,64 @@ TEST(GaussianMatrix, TemplateBytes) {
 TEST(GaussianMatrix, WrongInputSizeThrows) {
   const GaussianMatrix g(5, 16);
   EXPECT_THROW(g.transform(random_vec(8, 1)), PreconditionError);
+}
+
+TEST(GaussianMatrix, BitsMatchTheSerialDrawAtEveryLaneCount) {
+  const GlobalPoolGuard guard;
+  for (const std::size_t dim : kPinnedDims) {
+    for (const std::uint64_t seed : kPinnedSeeds) {
+      const std::vector<float> g = serial_reference(seed, dim);
+      for (const std::size_t lanes : kLaneCounts) {
+        common::ThreadPool::set_global_threads(lanes);
+        expect_bits(GaussianMatrix(seed, dim), g,
+                    "dim " + std::to_string(dim) + " seed " + std::to_string(seed) + " lanes " +
+                        std::to_string(lanes));
+      }
+    }
+  }
+}
+
+TEST(GaussianMatrix, BitsMatchWhenBuiltInsideAPoolLane) {
+  // A build inside a pool lane (a shard fan-out, a parallel oracle) runs
+  // inline; four lanes build at once, each its own key.
+  const GlobalPoolGuard guard;
+  common::ThreadPool::set_global_threads(4);
+  constexpr std::size_t kDim = 257;
+  std::vector<std::unique_ptr<GaussianMatrix>> built(4);
+  common::parallel_for(0, built.size(), 1, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      built[i] = std::make_unique<GaussianMatrix>(100 + i, kDim);
+    }
+  });
+  for (std::size_t i = 0; i < built.size(); ++i) {
+    expect_bits(*built[i], serial_reference(100 + i, kDim), "pool lane " + std::to_string(i));
+  }
+}
+
+TEST(GaussianMatrix, BitsMatchWhenFourThreadsBuildAtOnce) {
+  // Four plain threads share the global pool, each build a region of its
+  // own; the regions' chunks interleave on the same workers.
+  const GlobalPoolGuard guard;
+  common::ThreadPool::set_global_threads(4);
+  constexpr std::size_t kDim = 512;
+  std::vector<std::unique_ptr<GaussianMatrix>> built(4);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < built.size(); ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < 4) {
+        std::this_thread::yield();
+      }
+      built[t] = std::make_unique<GaussianMatrix>(200 + t, kDim);
+    });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  for (std::size_t t = 0; t < built.size(); ++t) {
+    expect_bits(*built[t], serial_reference(200 + t, kDim), "thread " + std::to_string(t));
+  }
 }
 
 TEST(GaussianMatrix, ZeroDimThrows) {

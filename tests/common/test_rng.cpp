@@ -172,6 +172,32 @@ TEST(Rng, ForkDeterministic) {
   }
 }
 
+TEST(Rng, DiscardNormalsLeavesTheSameGeneratorAsDrawing) {
+  // Odd counts end mid-pair (the skip's tail leaves the spare pending);
+  // a spare pending before the skip must be consumed by it.
+  for (const std::uint64_t n : {0ULL, 1ULL, 2ULL, 3ULL, 4096ULL, 4097ULL}) {
+    for (const bool spare_pending : {false, true}) {
+      Rng drawn(61);
+      Rng skipped(61);
+      if (spare_pending) {
+        drawn.normal();
+        skipped.normal();
+      }
+      for (std::uint64_t i = 0; i < n; ++i) {
+        drawn.normal();
+      }
+      skipped.discard_normals(n);
+      for (int i = 0; i < 16; ++i) {
+        EXPECT_EQ(drawn.normal(), skipped.normal())
+            << "n=" << n << " spare=" << spare_pending << " normal #" << i;
+      }
+      for (int i = 0; i < 16; ++i) {
+        EXPECT_EQ(drawn(), skipped()) << "n=" << n << " spare=" << spare_pending << " raw #" << i;
+      }
+    }
+  }
+}
+
 TEST(Rng, PreconditionViolations) {
   Rng rng(59);
   EXPECT_THROW(rng.uniform_index(0), PreconditionError);

@@ -10,6 +10,10 @@
 #include <utility>
 #include <vector>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 namespace mandipass::common {
 namespace {
 
@@ -114,6 +118,36 @@ TEST(ThreadPool, PerIndexResultsIdenticalAcrossThreadCounts) {
   EXPECT_EQ(compute(2), reference);
   EXPECT_EQ(compute(8), reference);
 }
+
+#if defined(__linux__)
+TEST(ThreadPool, DefaultSizeFollowsTheAffinityMask) {
+  // Run on a thread of its own so that pinning it cannot leak into the
+  // rest of the suite; its mask is restored all the same.
+  std::size_t full_lanes = 0;
+  std::size_t pinned_lanes = 0;
+  int full_cpus = 0;
+  std::thread probe([&] {
+    cpu_set_t saved;
+    CPU_ZERO(&saved);
+    ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+    full_cpus = CPU_COUNT(&saved);
+    full_lanes = ThreadPool(0).thread_count();
+    int first = 0;
+    while (!CPU_ISSET(first, &saved)) {
+      ++first;
+    }
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(first, &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+    pinned_lanes = ThreadPool(0).thread_count();
+    EXPECT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  });
+  probe.join();
+  EXPECT_EQ(full_lanes, static_cast<std::size_t>(full_cpus));
+  EXPECT_EQ(pinned_lanes, 1u);
+}
+#endif
 
 TEST(ThreadPool, GlobalPoolResize) {
   ThreadPool::set_global_threads(3);
