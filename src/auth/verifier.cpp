@@ -1,10 +1,10 @@
 #include "auth/verifier.h"
 
+#include <cmath>
 #include <string>
 
 #include "auth/cosine.h"
 #include "common/error.h"
-#include "common/finite.h"
 
 namespace mandipass::auth {
 
@@ -30,7 +30,7 @@ common::Result<void> check_probe(std::span<const float> raw_probe) {
     return common::make_error(ErrorCode::InvalidInput, "empty probe vector");
   }
   for (std::size_t i = 0; i < raw_probe.size(); ++i) {
-    if (!common::is_finite(raw_probe[i])) {
+    if (!std::isfinite(raw_probe[i])) {
       return common::make_error(ErrorCode::NonFiniteSample,
                                 "non-finite probe value at index " + std::to_string(i));
     }

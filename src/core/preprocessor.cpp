@@ -6,7 +6,6 @@
 #include <string>
 
 #include "common/error.h"
-#include "common/finite.h"
 #include "common/obs.h"
 #include "common/stats.h"
 #include "dsp/filter.h"
@@ -88,7 +87,7 @@ common::Result<SignalArray> Preprocessor::try_process(const imu::RawRecording& r
   MANDIPASS_OBS_TRACE_SAMPLED(trace_process, "core.prep.process_us", 4);
   using common::ErrorCode;
   using common::make_error;
-  if (!common::is_finite(recording.sample_rate_hz) || recording.sample_rate_hz <= 0.0) {
+  if (!std::isfinite(recording.sample_rate_hz) || recording.sample_rate_hz <= 0.0) {
     return make_error(ErrorCode::InvalidInput, "non-positive sample rate");
   }
   const std::size_t n = recording.sample_count();
@@ -141,7 +140,7 @@ common::Result<SignalArray> Preprocessor::try_process(const imu::RawRecording& r
         std::min(n, start + 2 * config_.peak_align_radius + config_.segment_length);
     for (std::size_t a = 0; a < imu::kAxisCount; ++a) {
       for (std::size_t i = start; i < guard_end; ++i) {
-        if (!common::is_finite(recording.axes[a][i])) {
+        if (!std::isfinite(recording.axes[a][i])) {
           MANDIPASS_OBS_COUNT("core.prep.nonfinite_segment");
           return make_error(ErrorCode::NonFiniteSample,
                             "non-finite sample at index " + std::to_string(i) + " of axis " +
@@ -199,7 +198,7 @@ common::Result<SignalArray> Preprocessor::try_process(const imu::RawRecording& r
     // garbage embedding that still gets matched.
     for (const auto& axis : out.axes) {
       for (double v : axis) {
-        if (!common::is_finite(v)) {
+        if (!std::isfinite(v)) {
           MANDIPASS_OBS_COUNT("core.prep.nonfinite_output");
           return make_error(ErrorCode::NonFiniteSample,
                             "non-finite value in the normalised signal array");

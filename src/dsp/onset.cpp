@@ -4,7 +4,6 @@
 #include <string>
 
 #include "common/error.h"
-#include "common/finite.h"
 #include "common/stats.h"
 
 namespace mandipass::dsp {
@@ -36,7 +35,7 @@ common::ErrorCode classify_onset_failure(std::span<const double> xs, double full
   MANDIPASS_EXPECTS(full_scale_lsb > 0.0);
   std::size_t saturated = 0;
   for (double v : xs) {
-    if (!common::is_finite(v)) {
+    if (!std::isfinite(v)) {
       return common::ErrorCode::NonFiniteSample;
     }
     if (std::abs(v) >= full_scale_lsb) {

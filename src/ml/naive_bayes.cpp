@@ -6,7 +6,6 @@
 #include <numbers>
 
 #include "common/error.h"
-#include "common/finite.h"
 
 namespace mandipass::ml {
 
@@ -73,7 +72,7 @@ std::uint32_t NaiveBayesClassifier::predict(std::span<const double> x) const {
   double best_score = -std::numeric_limits<double>::infinity();
   std::uint32_t best = 0;
   for (std::size_t c = 0; c < mean_.size(); ++c) {
-    if (!common::is_finite(log_prior_[c])) {
+    if (!std::isfinite(log_prior_[c])) {
       continue;
     }
     double score = log_prior_[c];

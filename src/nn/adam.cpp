@@ -28,8 +28,10 @@ void Adam::zero_grad() {
 
 void Adam::step() {
   ++t_;
-  const double bias1 = 1.0 - std::pow(config_.beta1, static_cast<double>(t_));
-  const double bias2 = 1.0 - std::pow(config_.beta2, static_cast<double>(t_));
+  // Bias corrections as reciprocals, once per step: multiplying by them
+  // keeps the per-element loop free of two divisions.
+  const double inv_bias1 = 1.0 / (1.0 - std::pow(config_.beta1, static_cast<double>(t_)));
+  const double inv_bias2 = 1.0 / (1.0 - std::pow(config_.beta2, static_cast<double>(t_)));
   for (std::size_t i = 0; i < params_.size(); ++i) {
     Param& p = *params_[i];
     Tensor& m = m_[i];
@@ -40,8 +42,8 @@ void Adam::step() {
       const float g = p.grad[j];
       m[j] = b1 * m[j] + (1.0f - b1) * g;
       v[j] = b2 * v[j] + (1.0f - b2) * g * g;
-      const double m_hat = static_cast<double>(m[j]) / bias1;
-      const double v_hat = static_cast<double>(v[j]) / bias2;
+      const double m_hat = static_cast<double>(m[j]) * inv_bias1;
+      const double v_hat = static_cast<double>(v[j]) * inv_bias2;
       double update = config_.lr * m_hat / (std::sqrt(v_hat) + config_.eps);
       if (config_.weight_decay > 0.0) {
         update += config_.lr * config_.weight_decay * static_cast<double>(p.value[j]);

@@ -62,6 +62,7 @@ class Conv2d final : public Layer {
   std::size_t idx_h_out_ = 0, idx_w_out_ = 0;
   std::vector<std::ptrdiff_t> patch_index_;
   std::vector<float> patches_;       ///< im2col buffer of the last forward
+  std::vector<float> packed_;        ///< forward's taps-major weight blocks
   std::vector<float> grad_patches_;  ///< col2im staging for backward
 };
 

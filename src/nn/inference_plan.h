@@ -45,9 +45,8 @@
 // independent of batching; 7-bit, so the AVX2 i16 pair-sums cannot
 // saturate and every tier's int32 accumulators are exact and
 // bit-identical. Dequantization and the fused ReLU/Sigmoid epilogue run
-// in float in one shared driver (quantized_plan.cpp, -fno-fast-math),
-// so full outputs — not just accumulators — match across tiers bit for
-// bit.
+// in float in one shared driver (quantized_plan.cpp), so full outputs —
+// not just accumulators — match across tiers bit for bit.
 #pragma once
 
 #include <cstddef>

@@ -1,5 +1,6 @@
 #include "nn/linear.h"
 
+#include "nn/lanes.h"
 #include "nn/serialize.h"
 
 namespace mandipass::nn {
@@ -25,12 +26,7 @@ Tensor Linear::forward(const Tensor& input, bool train) {
     const float* x = input.data() + b * in_;
     float* y = out.data() + b * out_;
     for (std::size_t o = 0; o < out_; ++o) {
-      const float* wr = w + o * in_;
-      float acc = bias_.value[o];
-      for (std::size_t i = 0; i < in_; ++i) {
-        acc += wr[i] * x[i];
-      }
-      y[o] = acc;
+      y[o] = bias_.value[o] + lane_dot(x, w + o * in_, in_);
     }
   }
   return out;

@@ -3,7 +3,6 @@
 // the vpmaddubsw pair-sum is bounded by 2·127·127 = 32258 < 32767 and
 // never saturates — the i32 accumulators are exact and bit-identical to
 // the generic tier.
-// mandilint: kernel-tu
 // mandilint: allow-file(expects-guard) -- pure kernel TU: total functions over
 // caller-validated packed buffers; preconditions live in PackedQuantizedGemm.
 #include "nn/qgemm_kernels.h"

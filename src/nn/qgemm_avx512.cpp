@@ -2,7 +2,6 @@
 // vector covers all 16 output channels (64 weight bytes) at once. The
 // instruction computes exact u8×s8 dot products accumulated into i32,
 // so it is bit-identical to the generic tier by construction.
-// mandilint: kernel-tu
 // mandilint: allow-file(expects-guard) -- pure kernel TU: total functions over
 // caller-validated packed buffers; preconditions live in PackedQuantizedGemm.
 #include "nn/qgemm_kernels.h"

@@ -2,7 +2,6 @@
 // This TU *defines* the accumulator contract the SIMD tiers must match
 // bit-for-bit; it is always compiled in and is the active tier when
 // MANDIPASS_FORCE_GENERIC_KERNELS is set or no SIMD tier applies.
-// mandilint: kernel-tu
 // mandilint: allow-file(expects-guard) -- pure kernel TU: total functions over
 // caller-validated packed buffers; preconditions live in PackedQuantizedGemm.
 #include "nn/qgemm_kernels.h"

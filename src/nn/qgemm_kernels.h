@@ -17,8 +17,8 @@
 //     as an EXACT int32 sum. Integer addition is associative, so every
 //     tier — VNNI vpdpbusd, AVX2 maddubs+maddwd, NEON vdot/vmull, plain
 //     loops — produces bit-identical accumulators for any reordering.
-//     The float dequantization lives in the (single, -fno-fast-math)
-//     driver TU, so the full output is bit-identical across tiers.
+//     The float dequantization lives in the single driver TU, so the
+//     full output is bit-identical across tiers.
 //
 // A tier's accessor returns nullptr when the architecture (or
 // MANDIPASS_FORCE_GENERIC_KERNELS) rules it out; the driver probes them

@@ -5,7 +5,6 @@
 // preserving). Pre-dotprod cores fall back to vmull_s8 widening
 // multiplies + pairwise adds — both paths are exact integer sums and
 // therefore bit-identical to the generic tier.
-// mandilint: kernel-tu
 // mandilint: allow-file(expects-guard) -- pure kernel TU: total functions over
 // caller-validated packed buffers; preconditions live in PackedQuantizedGemm.
 #include "nn/qgemm_kernels.h"

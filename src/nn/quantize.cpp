@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/error.h"
+#include "nn/lanes.h"
 
 namespace mandipass::nn {
 
@@ -44,20 +46,56 @@ Tensor dequantize(const QuantizedMatrix& q) {
 
 void quantized_matvec(const QuantizedMatrix& q, const float* x, const float* bias, float* y) {
   MANDIPASS_EXPECTS(x != nullptr && bias != nullptr && y != nullptr);
-  for (std::size_t r = 0; r < q.rows; ++r) {
-    // A zero-scale row is all-zero (quantize_rows maps an all-zero float
-    // row to scale 0): skip the dot product entirely and pass the bias
-    // through exactly — no 0.0f * acc rounding, no wasted column walk.
-    if (q.scales[r] == 0.0f) {
-      y[r] = bias[r];
-      continue;
+  // Each row's dot product is summed in lane_dot's order (nn/lanes.h).
+  // kRows rows go together, so their add chains overlap and they share
+  // the loads of x, and their int8 values are widened to float kChunk at
+  // a time, in a plain loop the compiler vectorizes well. A last group of
+  // fewer rows repeats its last row and drops the copies.
+  constexpr std::size_t kRows = 4;
+  constexpr std::size_t kChunk = 16 * kLanes;
+  const std::size_t n = q.cols;
+  const std::size_t whole = n - n % kLanes;
+  float w[kRows][kChunk];
+  for (std::size_t r0 = 0; r0 < q.rows; r0 += kRows) {
+    const std::size_t count = std::min(kRows, q.rows - r0);
+    const std::int8_t* row[kRows];
+    for (std::size_t k = 0; k < kRows; ++k) {
+      row[k] = q.values.data() + (r0 + std::min(k, count - 1)) * n;
     }
-    const std::int8_t* row = q.values.data() + r * q.cols;
-    float acc = 0.0f;
-    for (std::size_t c = 0; c < q.cols; ++c) {
-      acc += x[c] * static_cast<float>(row[c]);
+    Lanes acc[kRows] = {};
+    for (std::size_t c0 = 0; c0 < whole; c0 += kChunk) {
+      const std::size_t len = std::min(kChunk, whole - c0);
+      for (std::size_t k = 0; k < kRows; ++k) {
+        for (std::size_t c = 0; c < len; ++c) {
+          w[k][c] = static_cast<float>(row[k][c0 + c]);
+        }
+      }
+      for (std::size_t c = 0; c < len; c += kLanes) {
+        Lanes xv;
+        std::memcpy(&xv, x + c0 + c, sizeof xv);
+        for (std::size_t k = 0; k < kRows; ++k) {
+          Lanes wv;
+          std::memcpy(&wv, &w[k][c], sizeof wv);
+          acc[k] += xv * wv;
+        }
+      }
     }
-    y[r] = acc * q.scales[r] + bias[r];
+    float dot[kRows];
+    for (std::size_t k = 0; k < kRows; ++k) {
+      dot[k] = whole > 0 ? lane_sum(acc[k]) : 0.0f;
+    }
+    for (std::size_t c = whole; c < n; ++c) {
+      for (std::size_t k = 0; k < kRows; ++k) {
+        dot[k] += x[c] * static_cast<float>(row[k][c]);
+      }
+    }
+    for (std::size_t k = 0; k < count; ++k) {
+      // A zero-scale row is all-zero (quantize_rows maps an all-zero
+      // float row to scale 0): pass the bias through exactly — no
+      // 0.0f * acc rounding, and no NaN from a non-finite input.
+      const std::size_t r = r0 + k;
+      y[r] = q.scales[r] == 0.0f ? bias[r] : dot[k] * q.scales[r] + bias[r];
+    }
   }
 }
 

@@ -1,10 +1,7 @@
 // Int8 compiled-plan driver (DESIGN.md §18): activation quantization,
 // tier dispatch, exact int32 accumulation via qgemm_*.cpp, and the
 // float dequantizing epilogue. Everything float-sensitive lives in this
-// single TU, compiled -fno-fast-math (enforced by mandilint's
-// kernel-fno-fast-math rule), so outputs do not depend on which kernel
-// tier ran or on the library's fast-math default.
-// mandilint: kernel-tu
+// single TU, so outputs do not depend on which kernel tier ran.
 #include <algorithm>
 #include <cmath>
 #include <cstring>

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
+#include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -62,6 +64,64 @@ TEST(Quantize, MatvecZeroScaleRowShortCircuitsToBias) {
   float y[2] = {0.0f, 0.0f};
   quantized_matvec(q, x, bias, y);
   EXPECT_EQ(y[0], -2.5f);  // exact, despite the huge activations
+}
+
+TEST(Quantize, MatvecRowDoesNotDependOnItsNeighboursAtAnyShape) {
+  // The matvec takes rows in groups and widens their int8 values in
+  // chunks; a row's result must be the same bits when it is alone, and
+  // near the exact dot product. Shapes cover a tail-only row (9 taps),
+  // row counts that are not a multiple of the group, columns past one
+  // chunk with a tail, and a zero row inside a group.
+  Rng rng(11);
+  const std::size_t shapes[][2] = {{1, 9}, {7, 9}, {5, 300}, {9, 531}, {4, 16}};
+  for (const auto& shape : shapes) {
+    const std::size_t rows = shape[0];
+    const std::size_t cols = shape[1];
+    Tensor w({rows, cols});
+    for (std::size_t i = 0; i < w.size(); ++i) {
+      w[i] = static_cast<float>(rng.normal());
+    }
+    if (rows > 3) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        w.at2(3, c) = 0.0f;
+      }
+    }
+    const QuantizedMatrix q = quantize_rows(w);
+    std::vector<float> x(cols);
+    std::vector<float> bias(rows);
+    for (auto& v : x) {
+      v = static_cast<float>(rng.uniform(-1.0, 1.0));
+    }
+    for (auto& v : bias) {
+      v = static_cast<float>(rng.uniform(-1.0, 1.0));
+    }
+    std::vector<float> y(rows);
+    quantized_matvec(q, x.data(), bias.data(), y.data());
+    for (std::size_t r = 0; r < rows; ++r) {
+      QuantizedMatrix one;
+      one.rows = 1;
+      one.cols = cols;
+      one.values.assign(q.values.begin() + static_cast<std::ptrdiff_t>(r * cols),
+                        q.values.begin() + static_cast<std::ptrdiff_t>((r + 1) * cols));
+      one.scales = {q.scales[r]};
+      float alone = 0.0f;
+      quantized_matvec(one, x.data(), &bias[r], &alone);
+      EXPECT_EQ(alone, y[r]) << rows << "x" << cols << " row " << r;
+      double exact = 0.0;
+      double magnitude = 0.0;
+      for (std::size_t c = 0; c < cols; ++c) {
+        const double term = static_cast<double>(x[c]) * q.values[r * cols + c];
+        exact += term;
+        magnitude += std::fabs(term);
+      }
+      exact = exact * q.scales[r] + bias[r];
+      EXPECT_NEAR(y[r], exact, 1e-5 * magnitude * q.scales[r] + 1e-6)
+          << rows << "x" << cols << " row " << r;
+    }
+    if (rows > 3) {
+      EXPECT_EQ(y[3], bias[3]);
+    }
+  }
 }
 
 TEST(Quantize, ErrorMetricZeroForExactValues) {

@@ -8,7 +8,8 @@ programmatically. Covers the three concurrency rules added for the
 thread-safety work (raw-lock-discipline, atomic-order-audit,
 arena-escape — each with multiple violating fixtures), the resilience
 rule no-unbounded-queue (queue-typed members in src/auth/ must carry a
-bounded-by comment), waiver precedence
+bounded-by comment), no-fast-math (no value-unsafe float flag in
+any CMake file), waiver precedence
 (file-level allow-file suppresses the named rule only; line-level allow
 suppresses its own line only), and the CLI contract (exit 0/1/2,
 unknown-rule waivers rejected, --list-rules lists the full catalogue).
@@ -437,86 +438,61 @@ class CliContract(MandilintCase):
             self.assertIn(rule, out, f"--list-rules must document {rule}")
 
 
-class KernelFnoFastMath(MandilintCase):
-    PIN = (
-        "add_library(nn kernel.cpp)\n"
-        "set_source_files_properties(kernel.cpp PROPERTIES\n"
-        '  COMPILE_OPTIONS "-fno-fast-math")\n'
-    )
-
-    def test_marker_tu_without_cmake_pin_is_flagged(self) -> None:
+class NoFastMath(MandilintCase):
+    def test_flag_in_a_module_cmakelists_is_flagged(self) -> None:
         found = self.findings_for(
-            "kernel-fno-fast-math",
-            {"src/nn/kernel.cpp": "// mandilint: kernel-tu\n" + GUARD},
-        )
-        self.assertEqual(len(found), 1)
-        self.assertEqual(found[0].line, 1)
-        self.assertIn("-fno-fast-math", found[0].message)
-
-    def test_intrinsics_include_without_pin_is_flagged(self) -> None:
-        for header in ("immintrin.h", "arm_neon.h"):
-            found = self.findings_for(
-                "kernel-fno-fast-math",
-                {"src/nn/kernel.cpp": f"#include <{header}>\n" + GUARD},
-            )
-            self.assertEqual(len(found), 1, header)
-
-    def test_pinned_kernel_tu_is_clean(self) -> None:
-        found = self.findings_for(
-            "kernel-fno-fast-math",
+            "no-fast-math",
             {
-                "src/nn/kernel.cpp": "// mandilint: kernel-tu\n" + GUARD,
-                "src/nn/CMakeLists.txt": self.PIN,
-            },
-        )
-        self.assertEqual(found, [])
-
-    def test_pin_for_a_different_file_does_not_count(self) -> None:
-        found = self.findings_for(
-            "kernel-fno-fast-math",
-            {
-                "src/nn/other.cpp": "// mandilint: kernel-tu\n" + GUARD,
-                "src/nn/CMakeLists.txt": self.PIN,
-            },
-        )
-        self.assertEqual(len(found), 1)
-
-    def test_pin_without_fno_fast_math_does_not_count(self) -> None:
-        found = self.findings_for(
-            "kernel-fno-fast-math",
-            {
-                "src/nn/kernel.cpp": "// mandilint: kernel-tu\n" + GUARD,
                 "src/nn/CMakeLists.txt": (
-                    "set_source_files_properties(kernel.cpp PROPERTIES\n"
-                    '  COMPILE_OPTIONS "-funroll-loops")\n'
+                    "add_library(nn kernel.cpp)\n"
+                    "target_compile_options(nn PRIVATE -O3 -ffast-math -funroll-loops)\n"
                 ),
             },
         )
-        self.assertEqual(len(found), 1)
+        self.assertEqual([(f.path, f.line) for f in found], [("src/nn/CMakeLists.txt", 2)])
+        self.assertIn("-ffast-math", found[0].message)
 
-    def test_non_kernel_tu_is_out_of_scope(self) -> None:
+    def test_flag_in_a_source_properties_block_is_flagged(self) -> None:
         found = self.findings_for(
-            "kernel-fno-fast-math",
-            {"src/nn/plain.cpp": GUARD + "int f() { return 1; }\n"},
-        )
-        self.assertEqual(found, [])
-
-    def test_outside_src_is_out_of_scope(self) -> None:
-        found = self.findings_for(
-            "kernel-fno-fast-math",
-            {"bench/kernel.cpp": "#include <immintrin.h>\nint main() {}\n"},
-            subdirs=("bench",),
-        )
-        self.assertEqual(found, [])
-
-    def test_file_waiver_suppresses(self) -> None:
-        found = self.findings_for(
-            "kernel-fno-fast-math",
+            "no-fast-math",
             {
-                "src/nn/kernel.cpp": (
-                    "// mandilint: allow-file(kernel-fno-fast-math) -- perf probe TU\n"
-                    "// mandilint: kernel-tu\n" + GUARD
+                "src/nn/CMakeLists.txt": (
+                    "set_source_files_properties(\n"
+                    "  kernel.cpp\n"
+                    '  PROPERTIES COMPILE_OPTIONS "-O2;-freciprocal-math")\n'
                 ),
+            },
+        )
+        self.assertEqual([f.line for f in found], [3])
+
+    def test_every_value_unsafe_flag_anywhere_is_flagged(self) -> None:
+        flags = (
+            "-ffast-math", "-Ofast", "-ffinite-math-only", "-funsafe-math-optimizations",
+            "-fassociative-math", "-freciprocal-math", "-fno-signed-zeros",
+            "-ffp-contract=fast",
+        )
+        found = self.findings_for(
+            "no-fast-math",
+            {
+                "cmake/flags.cmake": "".join(f"add_compile_options({f})\n" for f in flags),
+                "CMakePresets.json": '{"CMAKE_CXX_FLAGS": "-Ofast"}\n',
+            },
+        )
+        self.assertEqual(
+            sorted((f.path, f.line) for f in found),
+            [("CMakePresets.json", 1)] + [("cmake/flags.cmake", i) for i in range(1, 9)],
+        )
+
+    def test_clean_tree_passes(self) -> None:
+        found = self.findings_for(
+            "no-fast-math",
+            {
+                "src/nn/CMakeLists.txt": (
+                    "# never pass -ffast-math here\n"
+                    "add_compile_options(-ffp-contract=off -fno-fast-math)\n"
+                    "target_compile_options(nn PRIVATE -O3 -march=native)  # not -Ofast\n"
+                ),
+                "build/CMakeFiles/flags.cmake": "set(FLAGS -ffast-math)\n",
             },
         )
         self.assertEqual(found, [])

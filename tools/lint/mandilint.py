@@ -67,17 +67,16 @@ Enforces project rules that clang-tidy and compiler warnings cannot express:
                    approximation (member-store / return / thread-capture
                    patterns on lines mentioning the arena).
                    src/nn/inference_plan.* (the arena itself) is exempt.
-  kernel-fno-fast-math
-                   Every kernel TU under src/ — a .cpp that includes SIMD
-                   intrinsics (<immintrin.h> / <arm_neon.h>) or carries a
-                   `// mandilint: kernel-tu` marker — must be pinned
-                   -fno-fast-math by a set_source_files_properties() block
-                   in its directory's CMakeLists.txt. The int8 plan's
-                   cross-tier bit-identity contract (DESIGN.md section 18)
-                   holds only if the kernels and the shared dequantizing
-                   driver are compiled without value-unsafe float
-                   transforms, whatever the enclosing module's fast-math
-                   default is.
+  no-fast-math     No CMake file in the repo (CMakeLists.txt, *.cmake,
+                   CMake*Presets.json) may pass a value-unsafe float flag:
+                   -ffast-math, -Ofast, -ffinite-math-only,
+                   -funsafe-math-optimizations, -fassociative-math,
+                   -freciprocal-math, -fno-signed-zeros or
+                   -ffp-contract=fast. The tree builds IEEE-strict with
+                   -ffp-contract=off (DESIGN.md section 13.3), so a
+                   near-tie decision lands on the same side of the
+                   threshold on every host and kernel tier. CMake comments
+                   are ignored; there is no waiver.
 
 Suppression:
   A single finding:    <offending line>  // mandilint: allow(<rule>) -- reason
@@ -95,6 +94,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -112,7 +112,7 @@ RULES = (
     "atomic-order-audit",
     "no-unbounded-queue",
     "arena-escape",
-    "kernel-fno-fast-math",
+    "no-fast-math",
 )
 
 ALLOW_LINE_RE = re.compile(r"//\s*mandilint:\s*allow\(([A-Za-z0-9_-]+)\)")
@@ -751,55 +751,38 @@ def check_arena_escape(
     return _arena_escape_regex(rel, lines)
 
 
-KERNEL_TU_MARK_RE = re.compile(r"//\s*mandilint:\s*kernel-tu\b")
-KERNEL_INCLUDE_RE = re.compile(r"#\s*include\s*<(?:immintrin\.h|arm_neon\.h)>")
-# One set_source_files_properties(...) invocation; the argument list never
-# nests parentheses, so a non-paren capture is exact.
-SOURCE_PROPS_RE = re.compile(r"set_source_files_properties\s*\(([^)]*)\)", re.DOTALL)
+FAST_MATH_FLAG_RE = re.compile(
+    r"(?<![\w-])(-ffast-math|-Ofast|-ffinite-math-only|-funsafe-math-optimizations"
+    r"|-fassociative-math|-freciprocal-math|-fno-signed-zeros|-ffp-contract=fast)(?![\w-])"
+)
+CMAKE_FILE_RE = re.compile(r"^(CMakeLists\.txt|.*\.cmake|CMake(User)?Presets\.json)$")
+SKIPPED_DIR_RE = re.compile(r"^(build|cmake-build|out$|\.)")
 
 
-def check_kernel_fno_fast_math(
-    ctx: Context, path: Path, rel: str, lines: list[str]
-) -> list[Finding]:
-    """Kernel TUs must be pinned -fno-fast-math in their CMakeLists.txt.
-
-    A "kernel TU" is a .cpp under src/ that includes SIMD intrinsics or
-    carries the `// mandilint: kernel-tu` marker (the markers exist for
-    the generic tier and the shared dequantizing driver, which contain no
-    intrinsics but define the bit-identity contract). Fast-math there
-    would let the compiler reassociate the dequantization arithmetic
-    differently per tier and silently break the cross-tier exactness the
-    perf suite asserts.
-    """
-    if not (rel.startswith("src/") and rel.endswith(".cpp")):
-        return []
-    mark_line = 0
-    for i, line in enumerate(lines, 1):
-        if KERNEL_TU_MARK_RE.search(line) or KERNEL_INCLUDE_RE.search(line):
-            mark_line = i
-            break
-    if not mark_line:
-        return []
-    cml = path.parent / "CMakeLists.txt"
-    try:
-        cmake_text = cml.read_text(encoding="utf-8")
-    except OSError:
-        cmake_text = ""
-    for args in SOURCE_PROPS_RE.findall(cmake_text):
-        if path.name in args and "-fno-fast-math" in args:
-            return []
-    return [
-        Finding(
-            "kernel-fno-fast-math",
-            rel,
-            mark_line,
-            "kernel TU (SIMD intrinsics or `// mandilint: kernel-tu`) is not "
-            "compiled -fno-fast-math: list it in a set_source_files_properties("
-            '... COMPILE_OPTIONS "-fno-fast-math") block in '
-            f"{cml.parent.name}/CMakeLists.txt so every tier's arithmetic is "
-            "value-exact (cross-tier bit-identity, DESIGN.md section 18)",
-        )
-    ]
+def check_fast_math_flags(repo: Path) -> list[Finding]:
+    out = []
+    for dirpath, dirnames, filenames in os.walk(repo):
+        dirnames[:] = sorted(d for d in dirnames if not SKIPPED_DIR_RE.match(d))
+        for name in sorted(filenames):
+            if not CMAKE_FILE_RE.match(name):
+                continue
+            path = Path(dirpath) / name
+            rel = path.relative_to(repo).as_posix()
+            text = path.read_text(encoding="utf-8", errors="replace")
+            for i, line in enumerate(text.splitlines(), 1):
+                m = FAST_MATH_FLAG_RE.search(line.split("#", 1)[0])
+                if m:
+                    out.append(
+                        Finding(
+                            "no-fast-math",
+                            rel,
+                            i,
+                            f"`{m.group(1)}` lets the compiler change float results: the "
+                            "tree builds IEEE-strict with -ffp-contract=off so decisions "
+                            "do not depend on codegen (DESIGN.md section 13.3)",
+                        )
+                    )
+    return out
 
 
 def check_build_artifacts(repo: Path) -> list[Finding]:
@@ -837,7 +820,6 @@ FILE_CHECKS = (
     check_atomic_order_audit,
     check_no_unbounded_queue,
     check_arena_escape,
-    check_kernel_fno_fast_math,
 )
 
 SOURCE_SUFFIXES = (".h", ".hpp", ".cpp", ".cc")
@@ -870,6 +852,7 @@ def lint(repo: Path, subdirs: list[str], ctx: Context | None = None) -> list[Fin
                 raw.extend(check(ctx, path, rel, lines))
             findings.extend(apply_waivers(raw, lines, waived))
     findings.extend(check_build_artifacts(repo))
+    findings.extend(check_fast_math_flags(repo))
     return findings
 
 
