@@ -19,7 +19,6 @@
 // and warm runs emit the same counter stream. Counter keys never name a
 // kernel tier — the active tier is machine-specific and is reported via
 // gauges/verdict detail only, which bench_compare does not compare.
-#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <iostream>
@@ -28,6 +27,7 @@
 
 #include "auth/cosine.h"
 #include "bench_common.h"
+#include "common/ab_timer.h"
 #include "common/obs.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -101,11 +101,6 @@ bool tiers_bit_identical() {
     }
   }
   return true;
-}
-
-double ms_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
-      .count();
 }
 
 }  // namespace
@@ -202,37 +197,44 @@ int main(int argc, char** argv) {
 
   // --- throughput: fused plan vs scalar reference, single thread ---
   // Fixed probe/repeat counts (never timed loops) keep every counter the
-  // plan emits machine-invariant; only the measured rates vary, and those
-  // feed gauges + the speedup verdict.
+  // plan emits machine-invariant: common::ab_compare's windows split the
+  // same `probes`, each run once on the scalar path and `plan_reps` times
+  // on the plan, and time each side on the calling thread's CPU clock.
+  // Only the measured rates vary; they feed gauges + the speedup verdict.
   const std::size_t probes = std::min<std::size_t>(eval.data.size(), scale.quick ? 48 : 128);
-  const std::size_t scalar_reps = 1;
   const std::size_t plan_reps = scale.quick ? 4 : 8;
+  constexpr std::size_t kWindows = 8;
+  const auto window_lo = [&](std::size_t w) { return w * probes / kWindows; };
 
   (void)quantized.extract(eval.data.arrays[0]);  // compile + arena warm-up
-  auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t rep = 0; rep < scalar_reps; ++rep) {
-    for (std::size_t i = 0; i < probes; ++i) {
-      (void)quantized.extract_scalar(eval.data.arrays[i]);
-    }
-  }
-  const double scalar_ms =
-      ms_since(t0) / static_cast<double>(scalar_reps * probes);
-
-  t0 = std::chrono::steady_clock::now();
-  for (std::size_t rep = 0; rep < plan_reps; ++rep) {
-    for (std::size_t i = 0; i < probes; ++i) {
-      (void)quantized.extract(eval.data.arrays[i]);
-    }
-  }
-  const double plan_ms = ms_since(t0) / static_cast<double>(plan_reps * probes);
-  const double speedup = plan_ms > 0.0 ? scalar_ms / plan_ms : 0.0;
+  const common::AbRatio ab = common::ab_compare(
+      kWindows,
+      [&](std::size_t w) {
+        for (std::size_t i = window_lo(w); i < window_lo(w + 1); ++i) {
+          (void)quantized.extract_scalar(eval.data.arrays[i]);
+        }
+      },
+      [&](std::size_t w) {
+        for (std::size_t rep = 0; rep < plan_reps; ++rep) {
+          for (std::size_t i = window_lo(w); i < window_lo(w + 1); ++i) {
+            (void)quantized.extract(eval.data.arrays[i]);
+          }
+        }
+      });
+  // Per probe, the plan side does plan_reps times the scalar side's calls.
+  const double speedup = ab.cpu_ratio * static_cast<double>(plan_reps);
+  const double window_probes = static_cast<double>(probes) / static_cast<double>(kWindows);
+  const double scalar_ms = 1e3 * ab.a_cpu_s / window_probes;
+  const double plan_ms = 1e3 * ab.b_cpu_s / (window_probes * static_cast<double>(plan_reps));
 
   std::cout << "\nthroughput (single thread, " << probes << " probes):\n";
-  Table thr({"path", "ms / probe", "probes / s"});
+  Table thr({"path", "CPU ms / probe", "probes / CPU s"});
   thr.add_row({"scalar int8 reference", fmt(scalar_ms, 3), fmt(1000.0 / scalar_ms, 0)});
   thr.add_row({"fused int8 plan", fmt(plan_ms, 3), fmt(1000.0 / plan_ms, 0)});
   thr.print(std::cout);
-  std::cout << "plan speedup over scalar: " << fmt(speedup, 2) << "x\n";
+  std::cout << "plan speedup over scalar: " << fmt(speedup, 2) << "x CPU (wall-clock gauge "
+            << fmt(ab.wall_ratio * static_cast<double>(plan_reps), 2) << "x, " << ab.windows
+            << " windows)\n";
   MANDIPASS_OBS_GAUGE_SET("bench.quantized.scalar_ms_per_probe", scalar_ms);
   MANDIPASS_OBS_GAUGE_SET("bench.quantized.plan_ms_per_probe", plan_ms);
   MANDIPASS_OBS_GAUGE_SET("bench.quantized.plan_speedup", speedup);

@@ -1,4 +1,4 @@
-// Serving-path throughput, two sections:
+// Serving-path throughput, three sections:
 //
 //   1. extract_batch samples/sec — the compiled inference plan (fused
 //      Conv+BN+ReLU, packed register-blocked GEMM, scratch arenas;
@@ -6,10 +6,17 @@
 //      replaced, measured single-thread so the speedup is the kernel's,
 //      not the pool's. Gates: compiled matches reference to ≤1e-5
 //      max-abs, and >= 2x reference throughput.
-//   2. verifications/sec of the concurrent BatchVerifier engine at batch
+//   2. key build — GaussianMatrix(seed, 256), whose rows come from the
+//      batched Rng::normal_floats, against the per-draw normal() walk
+//      that defines its bits. Gate: the walk takes >= 2x the build's CPU.
+//   3. verifications/sec of the concurrent BatchVerifier engine at batch
 //      sizes 1..256, single- vs multi-thread. Per-request decisions are
 //      independent, so the multi-thread decision vector must be
 //      identical to the single-thread one — the bench checks that too.
+//
+// Both speed gates are common::ab_compare ratios: alternating windows of
+// the two sides, each timed on the calling thread's CPU clock, gated on
+// the median ratio. The wall-clock ratio is printed as a gauge.
 //
 // Usage: bench_throughput [--threads N]   (default: all hardware cores)
 #include <chrono>
@@ -20,6 +27,7 @@
 #include "auth/batch_verifier.h"
 #include "auth/gaussian_matrix.h"
 #include "bench_common.h"
+#include "common/ab_timer.h"
 #include "common/rng.h"
 #include "common/table.h"
 #include "common/thread_pool.h"
@@ -136,25 +144,18 @@ std::vector<std::vector<float>> reference_extract_batch(
   return out;
 }
 
-struct ExtractMeasurement {
-  double samples_per_sec = 0.0;
-  std::vector<std::vector<float>> last;
-};
-
-template <typename F>
-ExtractMeasurement measure_extract(F&& run, std::size_t batch_size) {
+/// Samples/sec of the compiled plan on the current pool, over ~0.3 s.
+double measure_extract_rate(core::BiometricExtractor& ex,
+                            const std::vector<core::GradientArray>& batch) {
   using clock = std::chrono::steady_clock;
-  ExtractMeasurement m;
-  m.last = run();  // warm-up: plan compile, arena carve, first-touch
+  (void)ex.extract_batch(batch);  // warm-up: lanes, arenas, first-touch
   const auto t0 = clock::now();
   std::size_t total = 0;
   while (std::chrono::duration<double>(clock::now() - t0).count() < 0.3) {
-    m.last = run();
-    total += batch_size;
+    (void)ex.extract_batch(batch);
+    total += batch.size();
   }
-  const double secs = std::chrono::duration<double>(clock::now() - t0).count();
-  m.samples_per_sec = static_cast<double>(total) / secs;
-  return m;
+  return static_cast<double>(total) / std::chrono::duration<double>(clock::now() - t0).count();
 }
 
 float max_abs_delta(const std::vector<std::vector<float>>& a,
@@ -176,36 +177,75 @@ bool run_extract_section(std::size_t threads) {
   constexpr std::size_t kBatch = 256;
   const auto batch = random_gradient_batch(kBatch, cfg.half_length, 9001);
 
-  // Single-thread: the tentpole's own gate — kernel vs kernel, no pool.
+  // Single-thread: the plan's own gate, kernel vs kernel, no pool. A
+  // one-lane pool runs inline, so the calling thread's CPU clock sees all
+  // of the work.
   common::ThreadPool::set_global_threads(1);
-  const auto ref = measure_extract([&] { return reference_extract_batch(ex, batch); }, kBatch);
-  const auto fused1 = measure_extract([&] { return ex.extract_batch(batch); }, kBatch);
-  const float delta = max_abs_delta(ref.last, fused1.last);
-  const double speedup = ref.samples_per_sec > 0.0
-                             ? fused1.samples_per_sec / ref.samples_per_sec
-                             : 0.0;
+  std::vector<std::vector<float>> ref_out = reference_extract_batch(ex, batch);  // warm-up
+  std::vector<std::vector<float>> plan_out = ex.extract_batch(batch);           // plan compile
+  constexpr std::size_t kWindows = 9;
+  const common::AbRatio ab = common::ab_compare(
+      kWindows, [&](std::size_t) { ref_out = reference_extract_batch(ex, batch); },
+      [&](std::size_t) { plan_out = ex.extract_batch(batch); });
+  const float delta = max_abs_delta(ref_out, plan_out);
+  const double speedup = ab.cpu_ratio;
+  const double batch_size = static_cast<double>(kBatch);
 
   // Multi-thread compiled path, for the table only. The pool stays at
   // `threads` afterwards for the verification section.
   common::ThreadPool::set_global_threads(threads);
-  const auto fusedN = measure_extract([&] { return ex.extract_batch(batch); }, kBatch);
+  const double plan_n_sps = measure_extract_rate(ex, batch);
 
   std::cout << "\nextract_batch samples/sec (batch " << kBatch << ", dim " << kDim << "):\n";
   Table table({"path", "1 thread [sps]", std::to_string(threads) + " threads [sps]"});
-  table.add_row({"reference (layered)", fmt(ref.samples_per_sec, 0), "-"});
-  table.add_row({"compiled plan", fmt(fused1.samples_per_sec, 0),
-                 fmt(fusedN.samples_per_sec, 0)});
+  table.add_row({"reference (layered)", fmt(batch_size / ab.a_cpu_s, 0), "-"});
+  table.add_row({"compiled plan", fmt(batch_size / ab.b_cpu_s, 0), fmt(plan_n_sps, 0)});
   table.print(std::cout);
-  std::cout << "single-thread speedup: " << fmt(speedup, 2)
-            << "x   max-abs embedding delta: " << delta << "\n";
+  std::cout << "single-thread speedup: " << fmt(speedup, 2) << "x CPU (wall-clock gauge "
+            << fmt(ab.wall_ratio, 2) << "x, " << ab.windows << " windows)"
+            << "   max-abs embedding delta: " << delta << "\n";
 
   const bool matches = bench::record_verdict(
       "extract_plan_matches_reference", delta <= 1e-5f,
       "compiled extract_batch within 1e-5 max-abs of the layer-by-layer reference");
   const bool fast = bench::record_verdict(
       "extract_plan_speedup_ge_2x", speedup >= 2.0,
-      "compiled extract_batch >= 2x single-thread reference throughput");
+      "compiled extract_batch >= 2x single-thread reference throughput (" + fmt(speedup, 2) +
+          "x CPU)");
   return matches && fast;
+}
+
+// ---- Section 2: batched key build vs the per-draw walk ----
+
+/// G drawn one normal() at a time: G[i][j] = the (i * dim + j)-th
+/// normal(0, 1/sqrt(dim)) of Rng(seed), the values GaussianMatrix's
+/// batched build must reproduce bit for bit.
+std::vector<float> per_draw_key(std::uint64_t seed, std::size_t dim) {
+  Rng rng(seed);
+  const double sigma = 1.0 / std::sqrt(static_cast<double>(dim));
+  std::vector<float> g(dim * dim);
+  for (float& v : g) {
+    v = static_cast<float>(rng.normal(0.0, sigma));
+  }
+  return g;
+}
+
+/// Returns pass/fail of the key-build gate.
+bool run_keygen_section() {
+  constexpr std::size_t kWindows = 21;
+  (void)per_draw_key(1, kDim);  // warm-up: page in both paths
+  (void)auth::GaussianMatrix(1, kDim);
+  const common::AbRatio ab = common::ab_compare(
+      kWindows, [](std::size_t w) { (void)per_draw_key(w, kDim); },
+      [](std::size_t w) { (void)auth::GaussianMatrix(w, kDim); });
+  std::cout << "\nkey build (dim " << kDim << ", " << ab.windows << " windows): per-draw walk "
+            << fmt(ab.a_cpu_s * 1e6, 0) << " us, GaussianMatrix " << fmt(ab.b_cpu_s * 1e6, 0)
+            << " us CPU; ratio " << fmt(ab.cpu_ratio, 2) << "x CPU (wall-clock gauge "
+            << fmt(ab.wall_ratio, 2) << "x)\n";
+  return bench::record_verdict(
+      "keygen_batched_ge_2x", ab.cpu_ratio >= 2.0,
+      "per-draw normal() walk of a dim-256 key >= 2x the CPU of GaussianMatrix(seed, 256) (" +
+          fmt(ab.cpu_ratio, 2) + "x)");
 }
 
 }  // namespace
@@ -218,6 +258,7 @@ int main(int argc, char** argv) {
                       "(verifications/sec, single- vs multi-thread)");
 
   const bool extract_ok = run_extract_section(threads);
+  const bool keygen_ok = run_keygen_section();
 
   Rng rng(4242);
   auth::BatchVerifier engine;
@@ -278,5 +319,5 @@ int main(int argc, char** argv) {
   // consistency.
   bench::record_verdict("decisions_thread_invariant", consistent,
                         "single- vs multi-thread batch decisions identical");
-  return (consistent && extract_ok) ? 0 : 1;
+  return (consistent && extract_ok && keygen_ok) ? 0 : 1;
 }

@@ -1,48 +1,28 @@
 #include "auth/gaussian_matrix.h"
 
-#include <algorithm>
 #include <cmath>
 #include <span>
 
 #include "common/crc32.h"
 #include "common/error.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 
 namespace mandipass::auth {
-
-namespace {
-
-// About the fewest draws a lane generates (the grain is whole rows).
-// Below ~1k normals (~30 us of Box-Muller) waking a lane costs about what
-// it saves, so keys under dim ~45 build inline; at dim 64 four lanes of
-// 1k draws still halve the build.
-constexpr std::size_t kMinLaneDraws = 1024;
-
-}  // namespace
 
 GaussianMatrix::GaussianMatrix(std::uint64_t seed, std::size_t dim) : seed_(seed), dim_(dim) {
   MANDIPASS_EXPECTS(dim > 0);
   const double sigma = 1.0 / std::sqrt(static_cast<double>(dim));
   // x' = x * G: output j contracts column j of G, so G's row i is column i
   // of the packed operand and is written there as soon as it is drawn.
+  // G[i][j] is the (i * dim + j)-th normal(0, sigma) of Rng(seed):
+  // normal_floats gives those floats bit for bit, a row at a time.
   gemm_.reset(dim, dim);
-  // G[i][j] is the (i * dim + j)-th normal of Rng(seed). Each lane seeds
-  // its own generator and skips the draws of the rows before its first,
-  // so every entry is the value a serial walk would draw, whatever the
-  // lane count.
-  const std::size_t grain = std::max<std::size_t>(1, kMinLaneDraws / dim);
-  common::parallel_for(0, dim, grain, [&](std::size_t lo, std::size_t hi) {
-    Rng rng(seed);
-    rng.discard_normals(lo * dim);
-    std::vector<float> row(dim);
-    for (std::size_t i = lo; i < hi; ++i) {
-      for (float& v : row) {
-        v = static_cast<float>(rng.normal(0.0, sigma));
-      }
-      gemm_.write_column(i, row);
-    }
-  });
+  Rng rng(seed);
+  std::vector<float> row(dim);
+  for (std::size_t i = 0; i < dim; ++i) {
+    rng.normal_floats(row, sigma);
+    gemm_.write_column(i, row);
+  }
 }
 
 std::vector<float> GaussianMatrix::transform(std::span<const float> x) const {

@@ -10,9 +10,9 @@
 //     re-keying is just drawing a fresh seed.
 //
 // Concurrency: a GaussianMatrix is immutable after construction (the
-// packed kernel is built, row-parallel, in the ctor; transform() is const
-// and touches no mutable state), so const instances are freely shared
-// across threads — the seed-keyed MatrixCache (auth/matrix_cache.h)
+// packed kernel is built on the calling thread in the ctor; transform()
+// is const and touches no mutable state), so const instances are freely
+// shared across threads — the seed-keyed MatrixCache (auth/matrix_cache.h)
 // hands out shared_ptr<const GaussianMatrix> and only its own map and
 // recency list are lock-guarded (MANDIPASS_GUARDED_BY(MatrixCache::mutex_)).
 #pragma once
@@ -31,14 +31,12 @@ class GaussianMatrix {
   /// `seed`: G[i][j] is the (i * dim + j)-th Rng(seed).normal() draw,
   /// scaled. Two instances with equal (seed, dim) are identical.
   ///
-  /// The rows are split across the global pool (common::parallel_for) and
-  /// written straight into the packed layout. Each lane seeds its own
-  /// Rng and skips the draws of the rows before its first
-  /// (Rng::discard_normals), so every entry, and checksum(), is the same
-  /// at any lane count; a build started inside a pool lane (shard
-  /// fan-out, a parallel oracle) runs inline. Since the caller waits on
-  /// the pool, never construct one while holding a lock that a pool
-  /// chunk may wait on.
+  /// Each row is drawn with Rng::normal_floats, on the calling thread,
+  /// straight into the packed layout. normal_floats evaluates Box-Muller
+  /// a block of pairs at a time in vector registers and hands the pairs
+  /// that land next to a float rounding tie back to libm, so every entry,
+  /// and checksum(), is the per-draw value above. A dim-512 key is
+  /// 262 144 draws.
   GaussianMatrix(std::uint64_t seed, std::size_t dim);
 
   /// x' = x * G. Precondition: x.size() == dim().

@@ -76,12 +76,11 @@ BatchResult ResilientVerifier::verify_batch(std::span<const VerifyRequest> reque
   // Counters come from the decisions, after the join. Every shed that is
   // not an admission shed is a degraded-mode cache miss.
   result.stats = tally(result.decisions);
-  const BatchStats& st = result.stats;
   MANDIPASS_OBS_COUNT_N("auth.resil.admitted", admitted_count);
-  MANDIPASS_OBS_COUNT_N("auth.resil.shed", st.shed);
-  MANDIPASS_OBS_COUNT_N("auth.resil.expired", st.expired);
-  MANDIPASS_OBS_COUNT_N("auth.resil.degraded", st.degraded);
-  MANDIPASS_OBS_COUNT_N("auth.resil.degraded_miss", st.shed - queue_shed);
+  MANDIPASS_OBS_COUNT_N("auth.resil.shed", result.stats.shed);
+  MANDIPASS_OBS_COUNT_N("auth.resil.expired", result.stats.expired);
+  MANDIPASS_OBS_COUNT_N("auth.resil.degraded", result.stats.degraded);
+  MANDIPASS_OBS_COUNT_N("auth.resil.degraded_miss", result.stats.shed - queue_shed);
   return result;
 }
 

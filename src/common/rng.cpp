@@ -1,9 +1,12 @@
 #include "common/rng.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numbers>
 
 #include "common/error.h"
+#include "common/libm_kernels.h"
 
 namespace mandipass {
 namespace {
@@ -18,6 +21,66 @@ std::uint64_t splitmix64(std::uint64_t& x) {
 
 constexpr std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
+}
+
+/// The two uniforms of one Box-Muller pair, drawn as normal() draws them:
+/// u1 in (0, 1), a zero re-drawn, then u2 in [0, 1).
+struct Uniforms {
+  double u1;
+  double u2;
+};
+
+Uniforms draw_uniforms(Rng& rng) {
+  Uniforms u{};
+  do {
+    u.u1 = rng.uniform();
+  } while (u.u1 <= 0.0);
+  u.u2 = rng.uniform();
+  return u;
+}
+
+/// normal()'s Box-Muller pair in libm: the cos branch (returned first)
+/// and the sin branch (kept as the spare).
+struct NormalPair {
+  double first;
+  double spare;
+};
+
+NormalPair box_muller(Uniforms u) {
+  const double mag = std::sqrt(-2.0 * std::log(u.u1));
+  return {mag * std::cos(2.0 * std::numbers::pi * u.u2),
+          mag * std::sin(2.0 * std::numbers::pi * u.u2)};
+}
+
+/// normal(mean, stddev)'s scaling of a standard deviate. normal_floats
+/// scales every value through it too, so its floats stay normal()'s.
+double scaled(double mean, double stddev, double z) { return mean + stddev * z; }
+
+// normal_floats works on blocks of this many pairs.
+constexpr std::size_t kBlockPairs = 128;
+
+// Half-width, in double ulps, of the band around a float rounding
+// midpoint inside which a fast value goes back to libm. The fast kernels
+// are within 2 ulp of libm and the rest of the expression adds a few
+// roundings, so a value outside the band rounds to the same float as
+// libm's (see near_float_tie).
+constexpr std::uint64_t kTieBand = std::uint64_t{1} << 12;
+
+/// 1 when static_cast<float>(d) could change if d moved by up to kTieBand
+/// double ulps, else 0 (a 64-bit flag keeps the block loop at one lane
+/// width). A double in float's normal range rounds on its low
+/// 29 mantissa bits, and the midpoint between two floats has exactly bit
+/// 28 of them set; a float binade boundary is itself a float, so a move
+/// across it cannot change the rounding. Zero, float subnormals, overflow,
+/// infinities and NaN are outside the normal range and always count.
+std::uint64_t near_float_tie(double d) {
+  const std::uint64_t bits = std::bit_cast<std::uint64_t>(d);
+  const std::uint64_t exponent = (bits >> 52) & 0x7ff;
+  const std::uint64_t dropped = bits & ((std::uint64_t{1} << 29) - 1);
+  // Unsigned: true when the exponent is outside [2^-126, 2^127].
+  const bool outside_normal = exponent - (1023 - 126) > 126 + 127;
+  const bool near_midpoint = dropped - ((std::uint64_t{1} << 28) - kTieBand) <= 2 * kTieBand;
+  return (outside_normal || near_midpoint) ? 1 : 0;
 }
 
 }  // namespace
@@ -68,40 +131,63 @@ double Rng::normal() {
     has_spare_ = false;
     return spare_;
   }
-  double u1 = 0.0;
-  do {
-    u1 = uniform();
-  } while (u1 <= 0.0);
-  const double u2 = uniform();
-  const double mag = std::sqrt(-2.0 * std::log(u1));
-  spare_ = mag * std::sin(2.0 * std::numbers::pi * u2);
+  const NormalPair pair = box_muller(draw_uniforms(*this));
+  spare_ = pair.spare;
   has_spare_ = true;
-  return mag * std::cos(2.0 * std::numbers::pi * u2);
-}
-
-void Rng::discard_normals(std::uint64_t n) {
-  if (n > 0 && has_spare_) {
-    has_spare_ = false;
-    --n;
-  }
-  for (; n >= 2; n -= 2) {
-    // The draws of normal()'s pair, minus the transform.
-    while (uniform() <= 0.0) {
-    }
-    (*this)();
-  }
-  if (n == 1) {
-    normal();
-  }
+  return pair.first;
 }
 
 double Rng::normal(double mean, double stddev) {
   MANDIPASS_EXPECTS(stddev >= 0.0);
-  return mean + stddev * normal();
+  return scaled(mean, stddev, normal());
 }
 
-double Rng::lognormal(double mu, double sigma) {
-  return std::exp(normal(mu, sigma));
+void Rng::normal_floats(std::span<float> out, double stddev) {
+  MANDIPASS_EXPECTS(stddev >= 0.0);
+  std::size_t next = 0;
+  if (has_spare_ && !out.empty()) {
+    out[next++] = static_cast<float>(normal(0.0, stddev));
+  }
+  double u1[kBlockPairs];
+  double u2[kBlockPairs];
+  double first[kBlockPairs];
+  double spare[kBlockPairs];
+  std::uint64_t tie[kBlockPairs];
+  while (out.size() - next >= 2) {
+    const std::size_t pairs = std::min(kBlockPairs, (out.size() - next) / 2);
+    for (std::size_t p = 0; p < pairs; ++p) {
+      const Uniforms u = draw_uniforms(*this);
+      u1[p] = u.u1;
+      u2[p] = u.u2;
+    }
+    // box_muller() and normal(0.0, stddev) on the fast kernels; this loop
+    // vectorises.
+    for (std::size_t p = 0; p < pairs; ++p) {
+      const double mag = std::sqrt(-2.0 * common::fdlibm_log(u1[p]));
+      double sin_t = 0.0;
+      double cos_t = 0.0;
+      common::fdlibm_sincos(2.0 * std::numbers::pi * u2[p], sin_t, cos_t);
+      first[p] = scaled(0.0, stddev, mag * cos_t);
+      spare[p] = scaled(0.0, stddev, mag * sin_t);
+      tie[p] = near_float_tie(first[p]) | near_float_tie(spare[p]);
+    }
+    float* dst = out.data() + next;
+    for (std::size_t p = 0; p < pairs; ++p) {
+      dst[2 * p] = static_cast<float>(first[p]);
+      dst[2 * p + 1] = static_cast<float>(spare[p]);
+    }
+    for (std::size_t p = 0; p < pairs; ++p) {
+      if (tie[p] != 0) {
+        const NormalPair exact = box_muller({u1[p], u2[p]});
+        dst[2 * p] = static_cast<float>(scaled(0.0, stddev, exact.first));
+        dst[2 * p + 1] = static_cast<float>(scaled(0.0, stddev, exact.spare));
+      }
+    }
+    next += 2 * pairs;
+  }
+  if (next < out.size()) {
+    out[next] = static_cast<float>(normal(0.0, stddev));
+  }
 }
 
 bool Rng::bernoulli(double p) {

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace mandipass {
@@ -45,17 +46,15 @@ class Rng {
   /// Normal with the given mean and standard deviation.
   double normal(double mean, double stddev);
 
-  /// Leaves the generator exactly as `n` calls to normal() would, without
-  /// evaluating the log, sqrt and sincos of the pairs it skips: a pending
-  /// spare is consumed first, each skipped pair costs its two raw draws
-  /// (plus the re-draw of a zero u1), and an odd tail runs one real
-  /// normal() so that its spare is pending afterwards. Lets a parallel
-  /// lane start mid-stream with the same values a serial walk would draw.
-  void discard_normals(std::uint64_t n);
-
-  /// Log-normal: exp(normal(mu, sigma)). Handy for strictly positive
-  /// physiological parameters.
-  double lognormal(double mu, double sigma);
+  /// Fills `out` with static_cast<float>(normal(0.0, stddev)) per element,
+  /// bit for bit, and leaves the generator exactly as out.size() calls to
+  /// normal() would (a pending spare is used first; an odd tail leaves
+  /// one pending). Pairs are evaluated a block at a time with the
+  /// vectorisable kernels of common/libm_kernels.h; any pair whose scaled
+  /// value lies within 2^12 double ulps of a float rounding midpoint, or
+  /// outside float's normal range, is recomputed with libm, so the floats
+  /// are the ones normal() gives. Precondition: stddev >= 0.
+  void normal_floats(std::span<float> out, double stddev);
 
   /// Bernoulli trial with probability p of returning true.
   bool bernoulli(double p);

@@ -109,8 +109,9 @@ common::Result<auth::Decision> MandiPass::try_verify(const std::string& user,
   }
   // The key is rebuilt from its seed on every verify: the device keeps
   // no matrix cache (a dim-512 matrix is 1 MiB per user). The build is
-  // most of a verify, so it splits G's rows across the global pool, with
-  // the same bits at any lane count (auth/gaussian_matrix.h).
+  // still the largest stage of a verify; it runs on this thread, a block
+  // of Box-Muller pairs at a time, with the per-draw bits
+  // (auth/gaussian_matrix.h).
   const auth::GaussianMatrix g(stored->matrix_seed, probe.size());
   return verifier_.verify(g.transform(probe), stored->data);
 }

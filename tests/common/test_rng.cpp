@@ -2,10 +2,17 @@
 
 #include <gtest/gtest.h>
 
-#include "common/error.h"
-
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <numbers>
+#include <string>
+#include <vector>
+
+#include "common/error.h"
+#include "common/libm_kernels.h"
 
 namespace mandipass {
 namespace {
@@ -84,13 +91,6 @@ TEST(Rng, NormalScaled) {
   }
   EXPECT_NEAR(sum / n, 10.0, 0.05);
   EXPECT_NEAR(std::sqrt(sum2 / n), 2.0, 0.05);
-}
-
-TEST(Rng, LognormalIsPositive) {
-  Rng rng(19);
-  for (int i = 0; i < 1000; ++i) {
-    EXPECT_GT(rng.lognormal(0.0, 0.5), 0.0);
-  }
 }
 
 TEST(Rng, UniformIndexInRange) {
@@ -172,30 +172,153 @@ TEST(Rng, ForkDeterministic) {
   }
 }
 
-TEST(Rng, DiscardNormalsLeavesTheSameGeneratorAsDrawing) {
-  // Odd counts end mid-pair (the skip's tail leaves the spare pending);
-  // a spare pending before the skip must be consumed by it.
-  for (const std::uint64_t n : {0ULL, 1ULL, 2ULL, 3ULL, 4096ULL, 4097ULL}) {
-    for (const bool spare_pending : {false, true}) {
-      Rng drawn(61);
-      Rng skipped(61);
-      if (spare_pending) {
-        drawn.normal();
-        skipped.normal();
-      }
-      for (std::uint64_t i = 0; i < n; ++i) {
-        drawn.normal();
-      }
-      skipped.discard_normals(n);
-      for (int i = 0; i < 16; ++i) {
-        EXPECT_EQ(drawn.normal(), skipped.normal())
-            << "n=" << n << " spare=" << spare_pending << " normal #" << i;
-      }
-      for (int i = 0; i < 16; ++i) {
-        EXPECT_EQ(drawn(), skipped()) << "n=" << n << " spare=" << spare_pending << " raw #" << i;
+// ---- normal_floats: the batched draw is normal(), bit for bit ----
+
+constexpr std::size_t kBlockFloats = 256;  // normal_floats' block: 128 pairs
+
+/// Bit pattern of a float, so that a -0.0f / +0.0f or NaN mismatch counts.
+std::uint32_t float_bits(float f) { return std::bit_cast<std::uint32_t>(f); }
+
+/// Fills `n` floats both ways from Rng(seed) (optionally with a spare
+/// pending first) and expects the same bits and the same generator after.
+void expect_batched_matches_per_draw(std::uint64_t seed, std::size_t n, double stddev,
+                                     bool spare_pending) {
+  Rng per_draw(seed);
+  Rng batched(seed);
+  if (spare_pending) {
+    per_draw.normal();
+    batched.normal();
+  }
+  std::vector<float> want(n);
+  for (float& v : want) {
+    v = static_cast<float>(per_draw.normal(0.0, stddev));
+  }
+  std::vector<float> got(n, -1.0f);
+  batched.normal_floats(got, stddev);
+  const std::string what = "n=" + std::to_string(n) + " stddev=" + std::to_string(stddev) +
+                           " spare=" + std::to_string(spare_pending);
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(float_bits(got[i]), float_bits(want[i])) << what << " element " << i;
+  }
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(batched.normal(), per_draw.normal()) << what << " next normal #" << i;
+  }
+  EXPECT_EQ(batched(), per_draw()) << what << " next raw draw";
+}
+
+TEST(Rng, NormalFloatsMatchesPerDrawNormalBitForBit) {
+  const std::size_t lengths[] = {0, 1, 2, 3, kBlockFloats / 2 - 1, kBlockFloats / 2,
+                                 kBlockFloats / 2 + 1, kBlockFloats - 1, kBlockFloats,
+                                 kBlockFloats + 1};
+  const double stddevs[] = {1.0 / std::sqrt(512.0), 1.0 / std::sqrt(3.0), 1.0, 0.0, 1e3};
+  for (const std::size_t n : lengths) {
+    for (const double stddev : stddevs) {
+      for (const bool spare_pending : {false, true}) {
+        expect_batched_matches_per_draw(61 + n, n, stddev, spare_pending);
       }
     }
   }
+}
+
+/// True when the double `d` lies within 2^12 double ulps of a float
+/// rounding midpoint or outside float's normal range: the draws
+/// normal_floats recomputes with libm.
+bool in_guard_band(double d) {
+  const auto bits = std::bit_cast<std::uint64_t>(d);
+  const std::uint64_t exponent = (bits >> 52) & 0x7ff;
+  const std::int64_t dropped = static_cast<std::int64_t>(bits & ((1ULL << 29) - 1));
+  const bool normal_float = exponent >= 1023 - 126 && exponent <= 1023 + 127;
+  return !normal_float || std::abs(dropped - (std::int64_t{1} << 28)) <= (1 << 12);
+}
+
+TEST(Rng, NormalFloatsSweepHasNoMismatchAndRunsTheLibmFallback) {
+  // Over 2M draws at a dim-512 key's sigma, in calls of uneven length so
+  // that spares straddle calls, every float must equal normal()'s. Some
+  // libm values must land inside the guard band, so the fallback path
+  // runs in every ctest.
+  constexpr std::size_t kDraws = std::size_t{1} << 21;
+  const double sigma = 1.0 / std::sqrt(512.0);
+  const std::size_t chunks[] = {512, 257, 1, 4096, 3, 1023};
+  Rng per_draw(2024);
+  Rng batched(2024);
+  std::vector<float> got;
+  std::size_t drawn = 0;
+  std::size_t mismatches = 0;
+  std::size_t in_band = 0;
+  for (std::size_t c = 0; drawn < kDraws; ++c) {
+    got.assign(chunks[c % std::size(chunks)], 0.0f);
+    batched.normal_floats(got, sigma);
+    for (const float g : got) {
+      const double want = per_draw.normal(0.0, sigma);
+      in_band += in_guard_band(want) ? 1 : 0;
+      mismatches += float_bits(g) != float_bits(static_cast<float>(want)) ? 1 : 0;
+    }
+    drawn += got.size();
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << drawn << " draws";
+  EXPECT_GE(in_band, 10u) << "draws in the guard band, of " << drawn;
+  EXPECT_EQ(batched.normal(), per_draw.normal());
+}
+
+/// Distance in ulps between two finite doubles of the same sign.
+std::uint64_t ulp_distance(double a, double b) {
+  const auto ia = std::bit_cast<std::int64_t>(a);
+  const auto ib = std::bit_cast<std::int64_t>(b);
+  if ((ia < 0) != (ib < 0)) {
+    return a == b ? 0 : ~std::uint64_t{0};  // +0 / -0, else a sign error
+  }
+  return ia > ib ? static_cast<std::uint64_t>(ia - ib) : static_cast<std::uint64_t>(ib - ia);
+}
+
+TEST(Rng, FastKernelsStayWithinTwoUlpOfLibm) {
+  // normal_floats sends a draw back to libm only when it lies within 2^12
+  // double ulps of a float rounding tie. That is safe only while the fast
+  // log / sin / cos stay within a few ulps of libm everywhere Box-Muller
+  // evaluates them: u1 in [2^-53, 1 - 2^-53], angle 2 pi u2 in [0, 2 pi),
+  // including the multiples of pi/2 where sin or cos nears zero.
+  constexpr std::uint64_t kMaxUlps = 2;
+  std::uint64_t worst_log = 0;
+  std::uint64_t worst_sin = 0;
+  std::uint64_t worst_cos = 0;
+  const auto check_log = [&](double u1) {
+    worst_log = std::max(worst_log, ulp_distance(common::fdlibm_log(u1), std::log(u1)));
+  };
+  const auto check_angle = [&](double x) {
+    double s = 0.0;
+    double c = 0.0;
+    common::fdlibm_sincos(x, s, c);
+    worst_sin = std::max(worst_sin, ulp_distance(s, std::sin(x)));
+    worst_cos = std::max(worst_cos, ulp_distance(c, std::cos(x)));
+  };
+  Rng rng(7);
+  for (int i = 0; i < 1'000'000; ++i) {
+    double u1 = 0.0;
+    do {
+      u1 = rng.uniform();
+    } while (u1 <= 0.0);
+    check_log(u1);
+    check_angle(2.0 * std::numbers::pi * rng.uniform());
+  }
+  for (const double u1 : {0x1.0p-53, 1.0 - 0x1.0p-53, 0x1.0p-52, 1.0 - 0x1.0p-52, 0.5}) {
+    check_log(u1);
+  }
+  // At and next to k * pi/2, k = 0..4, and the largest angle 2 pi (1 - 2^-53).
+  for (int k = 0; k <= 4; ++k) {
+    double x = k * (std::numbers::pi / 2.0);
+    for (int step = 0; step < 32; ++step) {
+      x = std::nextafter(x, 0.0);
+    }
+    for (int step = 0; step <= 64; ++step) {
+      if (x >= 0.0 && x < 2.0 * std::numbers::pi) {
+        check_angle(x);
+      }
+      x = std::nextafter(x, 8.0);
+    }
+  }
+  check_angle(2.0 * std::numbers::pi * (1.0 - 0x1.0p-53));
+  EXPECT_LE(worst_log, kMaxUlps);
+  EXPECT_LE(worst_sin, kMaxUlps);
+  EXPECT_LE(worst_cos, kMaxUlps);
 }
 
 TEST(Rng, PreconditionViolations) {
@@ -203,6 +326,8 @@ TEST(Rng, PreconditionViolations) {
   EXPECT_THROW(rng.uniform_index(0), PreconditionError);
   EXPECT_THROW(rng.uniform(2.0, 1.0), PreconditionError);
   EXPECT_THROW(rng.normal(0.0, -1.0), PreconditionError);
+  std::vector<float> out(4);
+  EXPECT_THROW(rng.normal_floats(out, -1.0), PreconditionError);
   EXPECT_THROW(rng.bernoulli(1.5), PreconditionError);
 }
 
