@@ -153,10 +153,10 @@ double ab_overhead_delta(Setup&& set_mode, F&& body, int batches, int iters) {
 }
 
 /// The observability tax: the same body with obs tracing enabled vs
-/// disabled at runtime (the disabled side still pays counter increments
-/// by design — obs::set_enabled only gates TraceScope clock reads, which
-/// dominate the instrumentation cost; the full compile-out is
-/// -DMANDIPASS_NO_OBS).
+/// disabled at runtime. obs::set_enabled is the layer's only off switch:
+/// it gates the TraceScope clock reads, which dominate the
+/// instrumentation cost, so the disabled side still pays the counter
+/// increments by design.
 template <typename F>
 double obs_overhead_delta(F&& body, int batches, int iters) {
   return ab_overhead_delta([](bool on) { common::obs::set_enabled(on); }, body, batches,

@@ -13,6 +13,10 @@
 #                  into build/perfbench and runs its self-test, then runs
 #                  each workload for 2 s, gated on the exit code of its
 #                  decision oracle
+#   dead-code      builds every product binary into build-deadcode/ with
+#                  --gc-sections and fails on a library function none of
+#                  them keeps, unless tools/lint/deadcode_allowlist.txt
+#                  gives a reason for it
 #   sanitize       ASan+UBSan preset build + ctest, then TSan
 #   clang-tidy     over src/ (skipped if clang-tidy is not installed)
 #   tsafety        Clang thread-safety capability analysis (skipped if
@@ -30,9 +34,9 @@ set -uo pipefail
 
 REPO="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 
-JOBS_TO_RUN=(build-werror bench-smoke perfbench sanitize clang-tidy tsafety mandilint)
+JOBS_TO_RUN=(build-werror bench-smoke perfbench dead-code sanitize clang-tidy tsafety mandilint)
 if [ "${1:-}" = "--fast" ]; then
-  JOBS_TO_RUN=(build-werror bench-smoke perfbench clang-tidy tsafety mandilint)
+  JOBS_TO_RUN=(build-werror bench-smoke perfbench dead-code clang-tidy tsafety mandilint)
   echo "check.sh: sanitizer builds SKIPPED (--fast)"
 fi
 exec "$REPO/scripts/ci.sh" "${JOBS_TO_RUN[@]}"

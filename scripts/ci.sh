@@ -19,7 +19,7 @@ REPO="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "$REPO"
 JOBS="$(nproc 2>/dev/null || echo 2)"
 
-ALL_JOBS=(build-werror bench-smoke perfbench no-obs no-simd native-vs-generic fault
+ALL_JOBS=(build-werror bench-smoke perfbench dead-code no-simd native-vs-generic fault
   sanitize chaos-asan clang-tidy tsafety mandilint)
 
 # The quick benches whose counters are deterministic and gated exactly.
@@ -61,13 +61,23 @@ job_perfbench() {
   done
 }
 
-# The instrumented tree still compiles with the obs layer stubbed out
-# (macros expand to nothing, classes become no-ops), warning-free: a
-# value read only by a metric macro is an unused variable there.
-job_no_obs() {
-  cmake -B build-no-obs -S . -DMANDIPASS_NO_OBS=ON -DMANDIPASS_WARNINGS_AS_ERRORS=ON \
-    -DMANDIPASS_BUILD_TESTS=OFF -DMANDIPASS_BUILD_EXAMPLES=OFF >/dev/null &&
-    cmake --build build-no-obs -j "$JOBS"
+# Every library function some product binary keeps, or a reason on the
+# allowlist. build-deadcode/ holds every product binary (benches, examples,
+# tools, no tests) plus perfbench's stand-alone project, each function in
+# its own section and none inlined, linked with --gc-sections: a function
+# no binary calls is then dropped from all of them. tools/lint/deadcode.py
+# finds the archives and executables in the tree, so a new bench is
+# scanned without editing this job, and fails naming each library symbol
+# no binary keeps that tools/lint/deadcode_allowlist.txt does not list,
+# and each allowlist entry that no longer names one.
+job_dead_code() {
+  local flags=("-DCMAKE_CXX_FLAGS=-ffunction-sections -fno-inline"
+    "-DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections")
+  cmake -B build-deadcode -S . -DMANDIPASS_BUILD_TESTS=OFF "${flags[@]}" >/dev/null &&
+    cmake --build build-deadcode -j "$JOBS" &&
+    cmake -S perfbench -B build-deadcode/perfbench "${flags[@]}" >/dev/null &&
+    cmake --build build-deadcode/perfbench -j "$JOBS" --target perfbench &&
+    python3 tools/lint/deadcode.py build-deadcode
 }
 
 configure_generic() {

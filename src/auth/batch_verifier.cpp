@@ -67,11 +67,6 @@ double BatchVerifier::threshold() const {
   return threshold_locked();
 }
 
-void BatchVerifier::set_threshold(double t) {
-  WriterLock lock(mutex_);
-  verifier_.set_threshold(t);
-}
-
 const char* batch_status_name(BatchStatus status) {
   switch (status) {
     case BatchStatus::Accepted:
@@ -316,16 +311,6 @@ BatchResult BatchVerifier::verify_batch(std::span<const VerifyRequest> requests,
     s.mean_request_ms = sum_ms / static_cast<double>(s.requests);
   }
   return result;
-}
-
-void BatchVerifier::save(std::ostream& os) const {
-  WriterLock lock(mutex_);
-  store_.save(os);
-}
-
-void BatchVerifier::load(std::istream& is) {
-  WriterLock lock(mutex_);
-  store_.load(is);
 }
 
 common::Result<void> BatchVerifier::save_file(const std::string& path, int max_retries,

@@ -206,17 +206,11 @@ class BatchVerifier {
                                  bool degraded = false) const MANDIPASS_EXCLUDES(mutex_);
 
   double threshold() const MANDIPASS_EXCLUDES(mutex_);
-  void set_threshold(double t) MANDIPASS_EXCLUDES(mutex_);
-
-  /// Bulk snapshot of the whole store (exclusive lock held by save for a
-  /// consistent image); mirrors TemplateStore persistence.
-  void save(std::ostream& os) const MANDIPASS_EXCLUDES(mutex_);
-  void load(std::istream& is) MANDIPASS_EXCLUDES(mutex_);
 
   /// Crash-safe persistence of the whole store to `path` (TemplateStore
   /// atomic save + .bak rotation) with transient-I/O retry under the
   /// deterministic backoff policy. The exclusive lock is held for the
-  /// duration, matching save()'s consistent-image contract; retries
+  /// duration, so the file is one consistent image; retries
   /// sleep through resilience::retry_sleep_us, which tests and the chaos
   /// bench replace with a capturing hook, so the hold time under
   /// injected faults is virtual. This is the probe the resilience

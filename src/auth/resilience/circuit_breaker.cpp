@@ -7,18 +7,6 @@ namespace mandipass::auth::resilience {
 
 using common::MutexLock;
 
-const char* breaker_state_name(BreakerState state) {
-  switch (state) {
-    case BreakerState::Closed:
-      return "closed";
-    case BreakerState::Open:
-      return "open";
-    case BreakerState::HalfOpen:
-      return "half_open";
-  }
-  return "?";
-}
-
 CircuitBreaker::CircuitBreaker(CircuitBreakerConfig config, const common::ClockSource* clock)
     : config_(config),
       clock_(clock != nullptr ? clock : &common::SteadyClockSource::instance()) {

@@ -45,8 +45,6 @@ struct CircuitBreakerConfig {
 
 enum class BreakerState : std::uint8_t { Closed, Open, HalfOpen };
 
-const char* breaker_state_name(BreakerState state);
-
 class CircuitBreaker {
  public:
   /// `clock` times the Open cooldown; steady clock when null. Must

@@ -88,7 +88,6 @@ class ResilientVerifier {
   std::size_t shard_count() const { return engine_.shard_count(); }
   std::size_t shard_for(std::string_view user) const { return engine_.shard_for(user); }
   double threshold() const { return engine_.threshold(); }
-  void set_threshold(double t) { engine_.set_threshold(t); }
 
   /// The wrapped engine (e.g. for cache prewarming or healthy-path
   /// comparison in tests/benches).

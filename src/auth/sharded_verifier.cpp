@@ -110,10 +110,4 @@ void ShardedVerifier::serve(std::span<const VerifyRequest> requests,
 
 double ShardedVerifier::threshold() const { return shards_.front()->threshold(); }
 
-void ShardedVerifier::set_threshold(double t) {
-  for (const auto& shard : shards_) {
-    shard->set_threshold(t);
-  }
-}
-
 }  // namespace mandipass::auth

@@ -9,8 +9,8 @@
 //   * routing: shard_for(user) = FNV-1a 64(user) mod N. The hash is
 //     fixed (not std::hash) so a population shards identically on every
 //     platform and across runs — tests and baselines depend on it;
-//   * writes (enroll / revoke / set_threshold) go to exactly the owning
-//     shard and touch no other shard's lock;
+//   * writes (enroll / revoke) go to exactly the owning shard and touch
+//     no other shard's lock;
 //   * verify_batch routes each request to its shard, then hands the
 //     per-shard lists to serve(), the service's one shard fan-out (the
 //     resilience layer calls it too, after its own admission). serve()
@@ -122,13 +122,9 @@ class ShardedVerifier {
              std::span<BatchDecision> decisions, common::ThreadPool* pool,
              const common::Deadline& deadline) const;
 
-  /// Operating threshold (uniform across shards; read from shard 0).
+  /// Operating threshold (uniform across shards, fixed at construction;
+  /// read from shard 0).
   double threshold() const;
-
-  /// Re-tunes every shard's threshold. Not atomic across shards: a
-  /// concurrent batch may see the old value on some shards and the new
-  /// on others — callers that need a clean cut quiesce traffic first.
-  void set_threshold(double t);
 
   /// The shared matrix cache (exposed for accounting; the non-const form
   /// lets callers warm it and the chaos harness poison it).

@@ -129,12 +129,6 @@ void disarm_io_fault() {
   s.armed = false;
 }
 
-bool io_fault_armed() {
-  FaultState& s = fault_state();
-  const MutexLock lock(s.mutex);
-  return s.armed;
-}
-
 std::uint64_t io_faults_fired() {
   FaultState& s = fault_state();
   const MutexLock lock(s.mutex);

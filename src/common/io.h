@@ -77,9 +77,6 @@ void arm_io_fault(const IoFaultConfig& config);
 /// Disarms the hook (idempotent).
 void disarm_io_fault();
 
-/// True while a fault is armed (failures not yet exhausted).
-bool io_fault_armed();
-
 /// Total injected failures since process start (also mirrored in the
 /// "fault.io.injected" obs counter).
 std::uint64_t io_faults_fired();

@@ -1,7 +1,5 @@
 #include "common/obs.h"
 
-#ifndef MANDIPASS_NO_OBS
-
 #include <algorithm>
 
 #include "common/error.h"
@@ -134,5 +132,3 @@ void Registry::reset() {
 }
 
 }  // namespace mandipass::common::obs
-
-#endif  // MANDIPASS_NO_OBS

@@ -22,13 +22,9 @@
 // MANDIPASS_OBS_TRACE_SAMPLED, which times 1 of every 2^k passes and
 // charges the rest a single relaxed increment.
 //
-// Two off switches:
-//   * obs::set_enabled(false) — runtime: TraceScope skips its two clock
-//     reads (one relaxed bool load remains). Counters and gauges stay
-//     live so event counts remain deterministic for bench baselines.
-//   * -DMANDIPASS_NO_OBS — compile time: every class below becomes an
-//     empty stub and the macros expand to nothing, so instrumented code
-//     compiles to exactly what it was before instrumentation.
+// One off switch: obs::set_enabled(false) makes TraceScope skip its two
+// clock reads (one relaxed bool load remains). Counters and gauges stay
+// live so event counts remain deterministic for bench baselines.
 //
 // Naming convention: "<module>.<component>.<event>", histograms suffixed
 // with the unit ("_us"). Metric names passed to the macros must be string
@@ -36,29 +32,25 @@
 // expand to declarations, so they are valid at block scope only.
 #pragma once
 
-#include <cstdint>
-#include <string>
-#include <string_view>
-#include <utility>
-#include <vector>
-
-#ifndef MANDIPASS_NO_OBS
 #include <array>
 #include <atomic>
 #include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <map>
 #include <memory>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "common/mutex.h"
-#endif
 
 namespace mandipass::common::obs {
 
-/// Point-in-time copy of one counter. Snapshot structs are defined even
-/// under MANDIPASS_NO_OBS so bench reports keep one schema.
+/// Point-in-time copy of one counter.
 struct CounterSnapshot {
   std::string name;
   std::uint64_t value = 0;
@@ -86,8 +78,6 @@ struct MetricsSnapshot {
   std::vector<GaugeSnapshot> gauges;
   std::vector<HistogramSnapshot> histograms;
 };
-
-#ifndef MANDIPASS_NO_OBS
 
 namespace detail {
 
@@ -258,65 +248,6 @@ class Registry {
       MANDIPASS_GUARDED_BY(mutex_);
 };
 
-#else  // MANDIPASS_NO_OBS — zero-cost stubs with the identical surface.
-
-inline bool enabled() noexcept { return false; }
-inline void set_enabled(bool) noexcept {}
-
-class Counter {
- public:
-  void add(std::uint64_t = 1) noexcept {}
-  std::uint64_t value() const noexcept { return 0; }
-  void reset() noexcept {}
-};
-
-class Gauge {
- public:
-  void set(double) noexcept {}
-  double value() const noexcept { return 0.0; }
-  void reset() noexcept {}
-};
-
-class Histogram {
- public:
-  static constexpr std::size_t kBucketCount = 26;
-  void record(double) noexcept {}
-  std::uint64_t count() const noexcept { return 0; }
-  double sum() const noexcept { return 0.0; }
-  double quantile(double) const noexcept { return 0.0; }
-  HistogramSnapshot snapshot(std::string name) const { return {.name = std::move(name)}; }
-  void reset() noexcept {}
-};
-
-class TraceScope {
- public:
-  explicit TraceScope(Histogram&) noexcept {}
-  TraceScope(Histogram&, bool) noexcept {}
-  TraceScope(const TraceScope&) = delete;
-  TraceScope& operator=(const TraceScope&) = delete;
-};
-
-namespace detail {
-inline Counter g_stub_counter;
-inline Gauge g_stub_gauge;
-inline Histogram g_stub_histogram;
-}  // namespace detail
-
-class Registry {
- public:
-  static Registry& instance() {
-    static Registry r;
-    return r;
-  }
-  Counter& counter(std::string_view) { return detail::g_stub_counter; }
-  Gauge& gauge(std::string_view) { return detail::g_stub_gauge; }
-  Histogram& histogram(std::string_view) { return detail::g_stub_histogram; }
-  MetricsSnapshot snapshot() const { return {}; }
-  void reset() {}
-};
-
-#endif  // MANDIPASS_NO_OBS
-
 /// Registry shorthands (registration cost; cache the reference on hot paths).
 inline Counter& counter(std::string_view name) { return Registry::instance().counter(name); }
 inline Gauge& gauge(std::string_view name) { return Registry::instance().gauge(name); }
@@ -331,8 +262,6 @@ inline Histogram& histogram(std::string_view name) {
 // at runtime would silently pin the first value seen. Statements only —
 // MANDIPASS_OBS_TRACE declares locals, so it cannot be an `if` body
 // without braces.
-#ifndef MANDIPASS_NO_OBS
-
 #define MANDIPASS_OBS_COUNT_N(name, n)                                    \
   do {                                                                    \
     static ::mandipass::common::obs::Counter& mandipass_obs_counter_ref = \
@@ -367,13 +296,3 @@ inline Histogram& histogram(std::string_view name) {
       var##_obs_hist,                                                        \
       (var##_obs_tick.fetch_add(1, ::std::memory_order_relaxed) &            \
        ((::std::uint64_t{1} << (period_log2)) - ::std::uint64_t{1})) == 0)
-
-#else
-
-#define MANDIPASS_OBS_COUNT_N(name, n) static_cast<void>(0)
-#define MANDIPASS_OBS_COUNT(name) static_cast<void>(0)
-#define MANDIPASS_OBS_GAUGE_SET(name, v) static_cast<void>(0)
-#define MANDIPASS_OBS_TRACE(var, name) static_cast<void>(0)
-#define MANDIPASS_OBS_TRACE_SAMPLED(var, name, period_log2) static_cast<void>(0)
-
-#endif  // MANDIPASS_NO_OBS

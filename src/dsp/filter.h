@@ -28,8 +28,8 @@ struct BiquadCoeffs {
 /// Precondition: 0 < fc < fs / 2 and q > 0.
 BiquadCoeffs design_highpass_biquad(double fc, double fs, double q);
 
-/// Designs an RBJ low-pass biquad (used by the simulator's anti-alias
-/// stage before decimation).
+/// Designs an RBJ low-pass biquad (the stages of butterworth_lowpass4,
+/// the simulator's sensor-bandwidth filter).
 BiquadCoeffs design_lowpass_biquad(double fc, double fs, double q);
 
 /// Stateful single-channel biquad. Process is O(1) per sample.

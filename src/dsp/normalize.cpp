@@ -1,4 +1,4 @@
-// mandilint: allow-file(expects-guard) -- both normalisers are total: empty
+// mandilint: allow-file(expects-guard) -- the normaliser is total: empty
 // and constant inputs are documented to yield all-zero output, so there is
 // no precondition to assert.
 #include "dsp/normalize.h"
@@ -20,22 +20,6 @@ std::vector<double> minmax_normalize(std::span<const double> xs) {
   const double inv = 1.0 / (hi - lo);
   for (std::size_t i = 0; i < xs.size(); ++i) {
     out[i] = (xs[i] - lo) * inv;
-  }
-  return out;
-}
-
-std::vector<double> zscore_normalize(std::span<const double> xs) {
-  std::vector<double> out(xs.size(), 0.0);
-  if (xs.empty()) {
-    return out;
-  }
-  const double m = mean(xs);
-  const double s = stddev(xs);
-  if (s == 0.0) {
-    return out;
-  }
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    out[i] = (xs[i] - m) / s;
   }
   return out;
 }

@@ -1,4 +1,4 @@
-// Min-max normalisation (Section IV, Eq. 7) and related scalers.
+// Min-max normalisation (Section IV, Eq. 7).
 #pragma once
 
 #include <span>
@@ -10,9 +10,5 @@ namespace mandipass::dsp {
 /// segment maps to all zeros (the paper does not define this case; zeros
 /// keep downstream gradients finite).
 std::vector<double> minmax_normalize(std::span<const double> xs);
-
-/// Z-score standardisation, used by the classic-classifier baselines.
-/// A constant segment maps to all zeros.
-std::vector<double> zscore_normalize(std::span<const double> xs);
 
 }  // namespace mandipass::dsp

@@ -1,7 +1,6 @@
 #include "dsp/onset.h"
 
 #include <cmath>
-#include <string>
 
 #include "common/error.h"
 #include "common/stats.h"
@@ -46,44 +45,6 @@ common::ErrorCode classify_onset_failure(std::span<const double> xs, double full
     return common::ErrorCode::SensorSaturated;
   }
   return common::ErrorCode::OnsetNotFound;
-}
-
-common::Result<std::size_t> find_onset(std::span<const double> xs, const OnsetConfig& config,
-                                       double full_scale_lsb) {
-  if (xs.empty()) {
-    return common::make_error(common::ErrorCode::InvalidInput, "empty signal");
-  }
-  const auto onset = detect_onset(xs, config);
-  if (onset.has_value()) {
-    return *onset;
-  }
-  const common::ErrorCode code = classify_onset_failure(xs, full_scale_lsb);
-  switch (code) {
-    case common::ErrorCode::NonFiniteSample:
-      return common::make_error(code, "non-finite sample in onset search");
-    case common::ErrorCode::SensorSaturated:
-      return common::make_error(code, "signal pinned at full scale — clipped capture");
-    default:
-      return common::make_error(common::ErrorCode::OnsetNotFound,
-                                "no vibration onset in " + std::to_string(xs.size()) +
-                                    " samples");
-  }
-}
-
-std::optional<std::span<const double>> segment_after_onset(std::span<const double> reference,
-                                                           std::span<const double> xs,
-                                                           std::size_t n,
-                                                           const OnsetConfig& config) {
-  MANDIPASS_EXPECTS(reference.size() == xs.size());
-  MANDIPASS_EXPECTS(n > 0);
-  const auto start = detect_onset(reference, config);
-  if (!start.has_value()) {
-    return std::nullopt;
-  }
-  if (*start + n > xs.size()) {
-    return std::nullopt;
-  }
-  return xs.subspan(*start, n);
 }
 
 }  // namespace mandipass::dsp

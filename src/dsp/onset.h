@@ -42,19 +42,4 @@ std::optional<std::size_t> detect_onset(std::span<const double> xs, const OnsetC
 common::ErrorCode classify_onset_failure(std::span<const double> xs,
                                          double full_scale_lsb = 32767.0);
 
-/// Result form of detect_onset: the onset index, or a typed reject reason
-/// from classify_onset_failure. Empty input reports InvalidInput.
-common::Result<std::size_t> find_onset(std::span<const double> xs,
-                                       const OnsetConfig& config = {},
-                                       double full_scale_lsb = 32767.0);
-
-/// Convenience: detects the onset on `reference` (the paper uses an
-/// accelerometer axis) and returns the n-sample segment of `xs` starting
-/// there, or nullopt when the onset is missing or fewer than `n` samples
-/// remain after it.
-std::optional<std::span<const double>> segment_after_onset(std::span<const double> reference,
-                                                           std::span<const double> xs,
-                                                           std::size_t n,
-                                                           const OnsetConfig& config = {});
-
 }  // namespace mandipass::dsp

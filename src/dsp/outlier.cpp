@@ -36,17 +36,6 @@ std::vector<bool> detect_outliers_mad(std::span<const double> xs, const MadConfi
   return mask;
 }
 
-std::vector<std::size_t> outlier_indices_mad(std::span<const double> xs, const MadConfig& config) {
-  const auto mask = detect_outliers_mad(xs, config);
-  std::vector<std::size_t> idx;
-  for (std::size_t i = 0; i < mask.size(); ++i) {
-    if (mask[i]) {
-      idx.push_back(i);
-    }
-  }
-  return idx;
-}
-
 std::vector<double> replace_outliers_with_neighbor_mean(std::span<const double> xs,
                                                         const std::vector<bool>& outlier_mask) {
   MANDIPASS_EXPECTS(xs.size() == outlier_mask.size());

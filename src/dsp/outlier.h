@@ -24,10 +24,6 @@ struct MadConfig {
 /// flagged (degenerate but deterministic behaviour).
 std::vector<bool> detect_outliers_mad(std::span<const double> xs, const MadConfig& config = {});
 
-/// Indices of flagged samples, convenience over the mask form.
-std::vector<std::size_t> outlier_indices_mad(std::span<const double> xs,
-                                             const MadConfig& config = {});
-
 /// Replaces each flagged sample with the mean of its two previous and two
 /// subsequent *normal* (non-flagged) neighbours; near the borders fewer
 /// neighbours are used. If every sample is flagged the segment is returned

@@ -47,28 +47,4 @@ MotionSample Rotation::apply(const MotionSample& s) const {
   return out;
 }
 
-Rotation Rotation::compose(const Rotation& other) const {
-  Rotation r;
-  for (std::size_t i = 0; i < 3; ++i) {
-    for (std::size_t j = 0; j < 3; ++j) {
-      double acc = 0.0;
-      for (std::size_t k = 0; k < 3; ++k) {
-        acc += m_[i][k] * other.m_[k][j];
-      }
-      r.m_[i][j] = acc;
-    }
-  }
-  return r;
-}
-
-Rotation Rotation::inverse() const {
-  Rotation r;
-  for (std::size_t i = 0; i < 3; ++i) {
-    for (std::size_t j = 0; j < 3; ++j) {
-      r.m_[i][j] = m_[j][i];
-    }
-  }
-  return r;
-}
-
 }  // namespace mandipass::imu

@@ -30,12 +30,6 @@ class Rotation {
   /// Rotates both triples of a motion sample.
   MotionSample apply(const MotionSample& s) const;
 
-  /// Composition: (*this) * other.
-  Rotation compose(const Rotation& other) const;
-
-  /// Transpose == inverse for rotations.
-  Rotation inverse() const;
-
   double at(std::size_t r, std::size_t c) const { return m_[r][c]; }
 
  private:

@@ -33,17 +33,6 @@ QuantizedMatrix quantize_rows(const Tensor& matrix) {
   return q;
 }
 
-Tensor dequantize(const QuantizedMatrix& q) {
-  Tensor out({q.rows, q.cols});
-  for (std::size_t r = 0; r < q.rows; ++r) {
-    const float scale = q.scales[r];
-    for (std::size_t c = 0; c < q.cols; ++c) {
-      out.at2(r, c) = static_cast<float>(q.values[r * q.cols + c]) * scale;
-    }
-  }
-  return out;
-}
-
 void quantized_matvec(const QuantizedMatrix& q, const float* x, const float* bias, float* y) {
   MANDIPASS_EXPECTS(x != nullptr && bias != nullptr && y != nullptr);
   // Each row's dot product is summed in lane_dot's order (nn/lanes.h).
@@ -97,18 +86,6 @@ void quantized_matvec(const QuantizedMatrix& q, const float* x, const float* bia
       y[r] = q.scales[r] == 0.0f ? bias[r] : dot[k] * q.scales[r] + bias[r];
     }
   }
-}
-
-double quantization_error(const Tensor& matrix, const QuantizedMatrix& q) {
-  MANDIPASS_EXPECTS(matrix.rank() == 2);
-  MANDIPASS_EXPECTS(matrix.dim(0) == q.rows && matrix.dim(1) == q.cols);
-  const Tensor back = dequantize(q);
-  double max_err = 0.0;
-  for (std::size_t i = 0; i < matrix.size(); ++i) {
-    max_err =
-        std::max(max_err, std::abs(static_cast<double>(matrix[i]) - static_cast<double>(back[i])));
-  }
-  return max_err;
 }
 
 }  // namespace mandipass::nn

@@ -30,14 +30,8 @@ struct QuantizedMatrix {
 /// row: scale_r = max|W_r| / 127. An all-zero row gets scale 0.
 QuantizedMatrix quantize_rows(const Tensor& matrix);
 
-/// Reconstructs the float matrix (for tests / error measurement).
-Tensor dequantize(const QuantizedMatrix& q);
-
 /// y = x * W^T + b with int8 W: y[r] = scale_r * sum_c x[c] * Wq[r][c] + b[r].
 /// Precondition: x.size() == q.cols, bias.size() == q.rows.
 void quantized_matvec(const QuantizedMatrix& q, const float* x, const float* bias, float* y);
-
-/// Max absolute elementwise reconstruction error.
-double quantization_error(const Tensor& matrix, const QuantizedMatrix& q);
 
 }  // namespace mandipass::nn

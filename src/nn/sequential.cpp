@@ -41,14 +41,6 @@ Layer& Sequential::layer(std::size_t i) {
   return *layers_[i];
 }
 
-std::size_t Sequential::parameter_count() {
-  std::size_t n = 0;
-  for (Param* p : params()) {
-    n += p->value.size();
-  }
-  return n;
-}
-
 void Sequential::save_state(std::ostream& os) const {
   write_tag(os, "SEQ");
   write_u64(os, layers_.size());

@@ -27,9 +27,6 @@ class Sequential final : public Layer {
   std::size_t layer_count() const { return layers_.size(); }
   Layer& layer(std::size_t i);
 
-  /// Total number of scalar parameters (storage accounting, Section VII-E).
-  std::size_t parameter_count();
-
  private:
   std::vector<std::unique_ptr<Layer>> layers_;
 };

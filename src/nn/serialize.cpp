@@ -31,17 +31,6 @@ std::uint64_t read_u64(std::istream& is) {
   return v;
 }
 
-void write_f64(std::ostream& os, double v) {
-  static_assert(sizeof(double) == 8);
-  common::write_exact(os, &v, 8, "f64");
-}
-
-double read_f64(std::istream& is) {
-  double v = 0.0;
-  common::read_exact(is, &v, 8, "f64");
-  return v;
-}
-
 void write_tag(std::ostream& os, const std::string& tag) {
   MANDIPASS_EXPECTS(!tag.empty());
   write_u64(os, tag.size());

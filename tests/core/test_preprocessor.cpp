@@ -144,6 +144,7 @@ TEST_F(PreprocessorTest, OnsetInFinalWindowThrowsShortSegment) {
   ASSERT_TRUE(onset.has_value());
   EXPECT_EQ(*onset, 290u);
   EXPECT_THROW(prep.process(rec), SignalError);
+  EXPECT_EQ(prep.try_process(rec).code(), common::ErrorCode::SegmentTooShort);
 }
 
 TEST_F(PreprocessorTest, HighPassRemovesDcOffset) {

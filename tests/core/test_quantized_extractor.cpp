@@ -8,6 +8,7 @@
 #include "common/rng.h"
 #include "core/trainer.h"
 #include "nn/quantize.h"
+#include "nn/quantize_reference.h"
 
 namespace mandipass::core {
 namespace {

@@ -1,9 +1,7 @@
-// Radix-2 FFT and spectral helpers.
-//
-// Used by (1) the Section II feasibility model, which predicts the
-// received spectrum Y(w) of the mandible vibration, (2) the acoustic
-// baseline systems of Table I, which operate on spectral features, and
-// (3) tests that verify the Butterworth filter's frequency response.
+// Radix-2 FFT and spectral helpers: a test instrument. The FFT tests and
+// the vibration tests that check the simulator's spectra (the glottal
+// fundamental, the activity artifact's band, the feasibility model's
+// resonance) use it; no library code does.
 #pragma once
 
 #include <complex>

@@ -46,19 +46,5 @@ TEST(MinMax, ShiftInvariantShape) {
   }
 }
 
-TEST(ZScore, ZeroMeanUnitVariance) {
-  const std::vector<double> xs{1.0, 2.0, 3.0, 4.0, 5.0};
-  const auto out = zscore_normalize(xs);
-  EXPECT_NEAR(mean(out), 0.0, 1e-12);
-  EXPECT_NEAR(stddev(out), 1.0, 1e-12);
-}
-
-TEST(ZScore, ConstantMapsToZeros) {
-  const std::vector<double> xs{2.0, 2.0};
-  for (double v : zscore_normalize(xs)) {
-    EXPECT_DOUBLE_EQ(v, 0.0);
-  }
-}
-
 }  // namespace
 }  // namespace mandipass::dsp

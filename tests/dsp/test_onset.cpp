@@ -85,16 +85,16 @@ TEST(Onset, ConfigValidation) {
 
 TEST(Onset, AllFlatStreamHasNoOnset) {
   // A constant (earphone on a table) has zero std-dev in every window —
-  // the no-onset path, and never an out-of-bounds window read.
+  // the no-onset path, and never an out-of-bounds window read. Nothing
+  // non-finite or clipped explains the miss: it is plain quiet.
   const std::vector<double> flat(300, 1234.0);
   EXPECT_FALSE(detect_onset(flat).has_value());
-  EXPECT_FALSE(segment_after_onset(flat, flat, 60).has_value());
+  EXPECT_EQ(classify_onset_failure(flat), common::ErrorCode::OnsetNotFound);
 }
 
 TEST(Onset, AllSaturatedStreamOnsetAtStart) {
   // Rail-to-rail clipping (±32767 LSB alternating) keeps every window's
-  // std-dev far above both thresholds: the onset is the first window and
-  // a full-span segment is available.
+  // std-dev far above both thresholds: the onset is the first window.
   std::vector<double> sat(300);
   for (std::size_t i = 0; i < sat.size(); ++i) {
     sat[i] = i % 2 == 0 ? 32767.0 : -32767.0;
@@ -102,15 +102,13 @@ TEST(Onset, AllSaturatedStreamOnsetAtStart) {
   const auto onset = detect_onset(sat);
   ASSERT_TRUE(onset.has_value());
   EXPECT_EQ(*onset, 0u);
-  const auto seg = segment_after_onset(sat, sat, sat.size());
-  ASSERT_TRUE(seg.has_value());
-  EXPECT_EQ(seg->size(), sat.size());
 }
 
 TEST(Onset, OnsetInFinalWindowDetectedWithoutOverrun) {
   // Vibration starting in the very last window: the sustain check must
-  // clamp at the end of the stream instead of reading past it, and the
-  // short remainder then fails segmentation, not detection.
+  // clamp at the end of the stream instead of reading past it. The short
+  // remainder then fails segmentation, not detection
+  // (PreprocessorTest.OnsetInFinalWindowThrowsShortSegment).
   Rng rng(8);
   const std::size_t n = 300;
   auto xs = synthetic(n, n, 5.0, 0.0, rng);  // quiet everywhere...
@@ -120,42 +118,11 @@ TEST(Onset, OnsetInFinalWindowDetectedWithoutOverrun) {
   const auto onset = detect_onset(xs);
   ASSERT_TRUE(onset.has_value());
   EXPECT_EQ(*onset, n - 10);
-  EXPECT_FALSE(segment_after_onset(xs, xs, 60).has_value());
-  // Exactly-fitting request still succeeds at the boundary.
-  const auto fit = segment_after_onset(xs, xs, 10);
-  ASSERT_TRUE(fit.has_value());
-  EXPECT_EQ(fit->size(), 10u);
 }
 
 TEST(Onset, StreamShorterThanOneWindow) {
   const std::vector<double> tiny(7, 500.0);
   EXPECT_FALSE(detect_onset(tiny).has_value());
-}
-
-TEST(SegmentAfterOnset, ReturnsRequestedLength) {
-  Rng rng(6);
-  const auto ref = synthetic(300, 100, 20.0, 800.0, rng);
-  std::vector<double> other(300);
-  for (std::size_t i = 0; i < other.size(); ++i) {
-    other[i] = static_cast<double>(i);
-  }
-  const auto seg = segment_after_onset(ref, other, 60);
-  ASSERT_TRUE(seg.has_value());
-  EXPECT_EQ(seg->size(), 60u);
-  EXPECT_DOUBLE_EQ((*seg)[0], 100.0);  // starts at the onset index
-}
-
-TEST(SegmentAfterOnset, TooLateOnsetFails) {
-  Rng rng(7);
-  const auto ref = synthetic(300, 280, 20.0, 800.0, rng);
-  const auto seg = segment_after_onset(ref, ref, 60);
-  EXPECT_FALSE(seg.has_value());
-}
-
-TEST(SegmentAfterOnset, MismatchedSizesThrow) {
-  std::vector<double> a(100, 0.0);
-  std::vector<double> b(50, 0.0);
-  EXPECT_THROW(segment_after_onset(a, b, 10), PreconditionError);
 }
 
 }  // namespace

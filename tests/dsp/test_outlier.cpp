@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.h"
@@ -32,9 +33,9 @@ TEST(MadDetect, CleanDataMostlyUnflagged) {
   for (auto& x : xs) {
     x = rng.normal(0.0, 1.0);
   }
-  const auto idx = outlier_indices_mad(xs);
+  const auto mask = detect_outliers_mad(xs);
   // 3-sigma rule on normal data: expect well under 5%.
-  EXPECT_LT(idx.size(), 10u);
+  EXPECT_LT(std::count(mask.begin(), mask.end(), true), 10);
 }
 
 TEST(MadDetect, ConstantSegmentNoOutliers) {

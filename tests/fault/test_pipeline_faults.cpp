@@ -131,7 +131,6 @@ TEST_F(PipelineFaultTest, StructuralFaultsAreTypedInvalidInput) {
   EXPECT_EQ(prep.try_process(short_rec).code(), common::ErrorCode::SegmentTooShort);
 }
 
-#ifndef MANDIPASS_NO_OBS
 TEST_F(PipelineFaultTest, RejectsIncrementTheirTaxonomyCounter) {
   const Preprocessor prep;
   auto rec = record_one();
@@ -169,7 +168,6 @@ TEST_F(PipelineFaultTest, CleanCaptureIncrementsNoRejectCounter) {
   }
   EXPECT_EQ(after, before);
 }
-#endif  // MANDIPASS_NO_OBS
 
 }  // namespace
 }  // namespace mandipass::core

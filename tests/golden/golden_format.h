@@ -50,6 +50,17 @@ struct GoldenFixture {
 
 namespace detail {
 
+inline void write_f64(std::ostream& os, double v) {
+  static_assert(sizeof(double) == 8);
+  common::write_exact(os, &v, 8, "f64");
+}
+
+inline double read_f64(std::istream& is) {
+  double v = 0.0;
+  common::read_exact(is, &v, 8, "f64");
+  return v;
+}
+
 inline void write_doubles(std::ostream& os, const std::vector<double>& v) {
   nn::write_u64(os, v.size());
   common::write_exact(os, v.data(), v.size() * sizeof(double), "golden doubles");
@@ -89,7 +100,7 @@ inline core::GradientArray read_gradient(std::istream& is) {
 
 inline void save_golden(std::ostream& os, const GoldenFixture& f) {
   nn::write_tag(os, kGoldenTag);
-  nn::write_f64(os, f.probe_recording.sample_rate_hz);
+  detail::write_f64(os, f.probe_recording.sample_rate_hz);
   for (const auto& axis : f.probe_recording.axes) {
     detail::write_doubles(os, axis);
   }
@@ -113,16 +124,16 @@ inline void save_golden(std::ostream& os, const GoldenFixture& f) {
                       "golden print prefix");
 
   nn::write_u64(os, f.gauss_seed);
-  nn::write_f64(os, f.genuine_distance);
-  nn::write_f64(os, f.impostor_distance);
-  nn::write_f64(os, f.threshold);
+  detail::write_f64(os, f.genuine_distance);
+  detail::write_f64(os, f.impostor_distance);
+  detail::write_f64(os, f.threshold);
   MANDIPASS_EXPECTS(os.good());
 }
 
 inline GoldenFixture load_golden(std::istream& is) {
   GoldenFixture f;
   nn::expect_tag(is, kGoldenTag);
-  f.probe_recording.sample_rate_hz = nn::read_f64(is);
+  f.probe_recording.sample_rate_hz = detail::read_f64(is);
   for (auto& axis : f.probe_recording.axes) {
     axis = detail::read_doubles(is);
   }
@@ -150,9 +161,9 @@ inline GoldenFixture load_golden(std::istream& is) {
                      "golden print prefix");
 
   f.gauss_seed = nn::read_u64(is);
-  f.genuine_distance = nn::read_f64(is);
-  f.impostor_distance = nn::read_f64(is);
-  f.threshold = nn::read_f64(is);
+  f.genuine_distance = detail::read_f64(is);
+  f.impostor_distance = detail::read_f64(is);
+  f.threshold = detail::read_f64(is);
   return f;
 }
 

@@ -10,6 +10,7 @@
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "nn/quantize_reference.h"
 
 namespace mandipass::nn {
 namespace {

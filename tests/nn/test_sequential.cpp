@@ -38,12 +38,6 @@ TEST(Sequential, CollectsAllParams) {
   EXPECT_EQ(net->params().size(), 4u);  // two Linear layers x (W, b)
 }
 
-TEST(Sequential, ParameterCount) {
-  Rng rng(4);
-  auto net = small_mlp(rng);
-  EXPECT_EQ(net->parameter_count(), 4u * 8u + 8u + 8u * 3u + 3u);
-}
-
 TEST(Sequential, GradientCheckThroughStack) {
   Rng rng(5);
   auto net = small_mlp(rng);

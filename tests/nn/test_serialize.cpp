@@ -31,9 +31,7 @@ TEST(Serialize, TensorRoundTrip) {
 TEST(Serialize, ScalarsRoundTrip) {
   std::stringstream ss;
   write_u64(ss, 0xDEADBEEFCAFEULL);
-  write_f64(ss, -3.14159);
   EXPECT_EQ(read_u64(ss), 0xDEADBEEFCAFEULL);
-  EXPECT_DOUBLE_EQ(read_f64(ss), -3.14159);
 }
 
 TEST(Serialize, TagRoundTrip) {
@@ -173,7 +171,6 @@ TEST(Serialize, EmptyStreamThrows) {
   std::stringstream ss;
   EXPECT_THROW(read_tensor(ss), SerializationError);
   EXPECT_THROW(read_u64(ss), SerializationError);
-  EXPECT_THROW(read_f64(ss), SerializationError);
 }
 
 TEST(Serialize, OversizedRankThrows) {
@@ -212,7 +209,7 @@ TEST(Serialize, HeaderClaimsMoreDataThanPresentThrows) {
   write_u64(ss, 32);
   write_u64(ss, 32);
   for (int i = 0; i < 4; ++i) {
-    write_f64(ss, 1.0);
+    write_u64(ss, 0);
   }
   EXPECT_THROW(read_tensor(ss), SerializationError);
 }
