@@ -16,7 +16,9 @@
 //      enroll/revoke churn, applied identically to every engine. Exit
 //      verdicts assert shard invariance (decisions and distances at
 //      1/2/8 shards bit-identical to the reference engine), coalesced ==
-//      per-request transform equality, and duplicate-id consistency.
+//      per-request transform equality, duplicate-id consistency, and
+//      matrix-cache lookups per call independent of the shard count (one
+//      per distinct key).
 //      Every event count on this tape is deterministic, so the quick
 //      run's counters are committed as bench/baselines/
 //      bench_service.quick.json and gated cross-machine with
@@ -175,8 +177,15 @@ struct ReplayOutcome {
   std::size_t mismatches_s8 = 0;
   std::size_t duplicate_disagreements = 0;
   std::size_t transform_mismatches = 0;
+  std::size_t lookup_mismatches = 0;  ///< calls whose cache lookups differ from 1 shard's
   std::size_t requests = 0;
 };
+
+/// Matrix-cache lookups (hits + misses) made so far by every engine.
+std::uint64_t cache_lookups() {
+  return common::obs::counter("auth.batch.matrix_cache_hits").value() +
+         common::obs::counter("auth.batch.matrix_cache_misses").value();
+}
 
 /// One fixed tape of mixed traffic, replayed bit-identically against the
 /// reference engine and each shard count. Verify traffic addresses
@@ -230,9 +239,20 @@ ReplayOutcome run_replay(Engines& engines, std::size_t users, std::size_t replay
       }
     }
     const auth::BatchResult want = engines.reference.verify_batch(requests);
-    const auth::BatchResult got1 = engines.s1.verify_batch(requests);
-    const auth::BatchResult got2 = engines.s2.verify_batch(requests);
-    const auth::BatchResult got8 = engines.s8.verify_batch(requests);
+    // A call looks each distinct key up once, so the 2- and 8-shard
+    // engines must make exactly the 1-shard engine's lookups.
+    std::uint64_t lookups[3] = {};
+    const auto served = [&](const auth::ShardedVerifier& engine, std::uint64_t& count) {
+      const std::uint64_t before = cache_lookups();
+      auth::BatchResult result = engine.verify_batch(requests);
+      count = cache_lookups() - before;
+      return result;
+    };
+    const auth::BatchResult got1 = served(engines.s1, lookups[0]);
+    const auth::BatchResult got2 = served(engines.s2, lookups[1]);
+    const auth::BatchResult got8 = served(engines.s8, lookups[2]);
+    out.lookup_mismatches += lookups[1] != lookups[0] ? 1 : 0;
+    out.lookup_mismatches += lookups[2] != lookups[0] ? 1 : 0;
     for (std::size_t i = 0; i < requests.size(); ++i) {
       out.mismatches_s1 += same_decision(got1.decisions[i], want.decisions[i]) ? 0 : 1;
       out.mismatches_s2 += same_decision(got2.decisions[i], want.decisions[i]) ? 0 : 1;
@@ -456,7 +476,8 @@ int main(int argc, char** argv) {
 
   // Phase 2: deterministic replay with shard-invariance verdicts.
   const ReplayOutcome replay = run_replay(engines, users, replay_requests);
-  std::cout << "replayed " << replay.requests << " mixed requests against 4 engines\n";
+  std::cout << "replayed " << replay.requests << " mixed requests against 4 engines; "
+            << replay.lookup_mismatches << " calls with shard-dependent cache lookups\n";
   ok = bench::record_verdict("shard_invariance_s1", replay.mismatches_s1 == 0,
                              "1-shard decisions bit-identical to reference BatchVerifier") &&
        ok;
@@ -472,6 +493,10 @@ int main(int argc, char** argv) {
        ok;
   ok = bench::record_verdict("duplicate_ids_consistent", replay.duplicate_disagreements == 0,
                              "duplicate-id requests in one batch decided identically") &&
+       ok;
+  ok = bench::record_verdict("key_lookups_shard_invariant", replay.lookup_mismatches == 0,
+                             "each 2- and 8-shard call makes the 1-shard call's matrix-cache "
+                             "lookups (one per distinct key)") &&
        ok;
 
   // Phase 3: storm per shard count.

@@ -50,8 +50,6 @@ std::optional<StoredTemplate> BatchVerifier::lookup_locked(const std::string& us
   return store_.lookup(user);
 }
 
-double BatchVerifier::threshold_locked() const { return verifier_.threshold(); }
-
 std::optional<StoredTemplate> BatchVerifier::snapshot(const std::string& user) const {
   ReaderLock lock(mutex_);
   return lookup_locked(user);
@@ -60,11 +58,6 @@ std::optional<StoredTemplate> BatchVerifier::snapshot(const std::string& user) c
 std::size_t BatchVerifier::size() const {
   ReaderLock lock(mutex_);
   return store_.size();
-}
-
-double BatchVerifier::threshold() const {
-  ReaderLock lock(mutex_);
-  return threshold_locked();
 }
 
 const char* batch_status_name(BatchStatus status) {
@@ -147,10 +140,20 @@ CoalesceStats BatchVerifier::verify_coalesced(std::span<const VerifyRequest> req
                                               std::span<BatchDecision> decisions,
                                               const common::Deadline& deadline,
                                               bool degraded) const {
+  const PreparedShard shard = prepare(requests, indices, decisions, deadline, degraded);
+  return decide(requests, shard, resolve_keys(*cache_, {&shard, 1}, deadline, nullptr),
+                decisions);
+}
+
+PreparedShard BatchVerifier::prepare(std::span<const VerifyRequest> requests,
+                                     std::span<const std::size_t> indices,
+                                     std::span<BatchDecision> decisions,
+                                     const common::Deadline& deadline, bool degraded) const {
   MANDIPASS_EXPECTS(decisions.size() == requests.size());
-  CoalesceStats cs;
+  PreparedShard shard;
+  shard.degraded = degraded;
   if (indices.empty()) {
-    return cs;
+    return shard;
   }
   // Deadline gate on entry: a batch whose budget is already gone gets
   // typed Expired decisions before any lock or GEMM is touched.
@@ -160,13 +163,13 @@ CoalesceStats BatchVerifier::verify_coalesced(std::span<const VerifyRequest> req
       MANDIPASS_OBS_COUNT("auth.batch.verify_expired");
       mark_expired(decisions[i]);
     }
-    return cs;
+    return shard;
   }
-  // Phase 1 — the probe gate, before any lock is taken. This runs on pool
-  // workers, where a throw would surface via parallel_for on the caller
-  // and void the whole batch, so a malformed probe becomes a typed
-  // Invalid decision instead.
-  std::vector<std::size_t> valid;
+  // The probe gate, before any lock is taken. This runs on pool workers,
+  // where a throw would surface via parallel_for on the caller and void
+  // the whole batch, so a malformed probe becomes a typed Invalid
+  // decision instead.
+  std::vector<std::size_t>& valid = shard.valid;
   valid.reserve(indices.size());
   for (const std::size_t i : indices) {
     MANDIPASS_OBS_COUNT("auth.batch.verify_total");
@@ -178,13 +181,13 @@ CoalesceStats BatchVerifier::verify_coalesced(std::span<const VerifyRequest> req
     decisions[i] = BatchDecision{};
     valid.push_back(i);
   }
-  // Phase 2 — ONE shared-lock window snapshots every template plus the
-  // threshold, so the whole coalesced batch is decided against a single
-  // consistent store generation. Duplicate user ids in the batch hit the
-  // same snapshot and therefore always agree; nothing here acquires a
-  // second lock, so a duplicate-heavy batch cannot deadlock either.
-  std::vector<std::optional<StoredTemplate>> snaps(valid.size());
-  double threshold = 0.0;
+  // ONE shared-lock window snapshots every template, so the whole
+  // coalesced batch is decided against a single consistent store
+  // generation. Duplicate user ids in the batch hit the same snapshot and
+  // therefore always agree; nothing here acquires a second lock, so a
+  // duplicate-heavy batch cannot deadlock either.
+  std::vector<std::optional<StoredTemplate>>& snaps = shard.snaps;
+  snaps.resize(valid.size());
   {
     ReaderLock lock(mutex_, kDeferLock);
     {
@@ -194,12 +197,9 @@ CoalesceStats BatchVerifier::verify_coalesced(std::span<const VerifyRequest> req
     for (std::size_t k = 0; k < valid.size(); ++k) {
       snaps[k] = lookup_locked(requests[valid[k]].user);
     }
-    threshold = threshold_locked();
   }
-  // Phase 3 — the template gate (Unknown / dimension mismatch), then
-  // group the rest by (matrix_seed, dim). std::map keys keep group order
-  // deterministic.
-  std::map<std::pair<std::uint64_t, std::size_t>, std::vector<std::size_t>> groups;
+  // The template gate (Unknown / dimension mismatch), then group the rest
+  // by (matrix_seed, dim). std::map keys keep group order deterministic.
   for (std::size_t k = 0; k < valid.size(); ++k) {
     const VerifyRequest& req = requests[valid[k]];
     if (const auto gate = check_template(snaps[k], req.user, req.raw_probe.size()); !gate.ok()) {
@@ -211,41 +211,76 @@ CoalesceStats BatchVerifier::verify_coalesced(std::span<const VerifyRequest> req
       mark_rejected(decisions[valid[k]], gate.error());
       continue;
     }
-    groups[{snaps[k]->matrix_seed, req.raw_probe.size()}].push_back(k);
+    shard.groups[{snaps[k]->matrix_seed, req.raw_probe.size()}].push_back(k);
   }
-  // Phase 4 — one packed-GEMM tile per group: pack the member probes
-  // contiguously and stream the group's matrix once per kXTile probes.
-  // transform_batch keeps transform()'s per-element accumulation order,
-  // so every distance below is bit-identical to a lone transform.
-  const Verifier v(threshold);
+  return shard;
+}
+
+ResolvedKeys resolve_keys(MatrixCache& cache, std::span<const PreparedShard> shards,
+                          const common::Deadline& deadline, common::ThreadPool* pool) {
+  ResolvedKeys keys;
+  for (const PreparedShard& shard : shards) {
+    for (const auto& group : shard.groups) {
+      keys[group.first].build |= !shard.degraded;
+    }
+  }
+  // The map's shape is fixed from here on, so lanes may fill distinct
+  // values concurrently.
+  std::vector<std::pair<const MatrixKey, ResolvedKey>*> slots;
+  slots.reserve(keys.size());
+  for (auto& slot : keys) {
+    slots.push_back(&slot);
+  }
+  const auto lookup = [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t n = lo; n < hi; ++n) {
+      const auto& [seed, dim] = slots[n]->first;
+      ResolvedKey& key = slots[n]->second;
+      // Once the budget dies, the remaining keys' groups expire instead
+      // of burning CRC passes and builds on answers nobody will read.
+      if (deadline.expired()) {
+        key.expired = true;
+        continue;
+      }
+      // Degraded mode never builds a matrix: the breaker is engaged
+      // because the shard's dependencies are suspect, so a cold key is an
+      // honest typed shed rather than a multi-millisecond build.
+      key.matrix = key.build ? cache.get(seed, dim) : cache.peek(seed, dim);
+    }
+  };
+  if (pool == nullptr) {
+    lookup(0, slots.size());
+  } else {
+    pool->parallel_for(0, slots.size(), 1, lookup);
+  }
+  return keys;
+}
+
+CoalesceStats BatchVerifier::decide(std::span<const VerifyRequest> requests,
+                                    const PreparedShard& shard, const ResolvedKeys& keys,
+                                    std::span<BatchDecision> decisions) const {
+  // One packed-GEMM tile per group: pack the member probes contiguously
+  // and stream the group's matrix once per kXTile probes. transform_batch
+  // keeps transform()'s per-element accumulation order, so every distance
+  // below is bit-identical to a lone transform.
+  CoalesceStats cs;
   std::vector<float> xs;
   std::vector<float> transformed;
-  bool budget_gone = false;
-  for (const auto& [key, members] : groups) {
-    const auto& [seed, dim] = key;
-    // Re-check the budget before each group's transform: once it dies
-    // mid-batch, the remaining groups' members expire instead of burning
-    // GEMM cycles on answers nobody will read.
-    if (!budget_gone && deadline.expired()) {
-      budget_gone = true;
-    }
-    if (budget_gone) {
+  for (const auto& [key, members] : shard.groups) {
+    const ResolvedKey& resolved = keys.at(key);
+    if (resolved.expired) {
       for (const std::size_t k : members) {
         MANDIPASS_OBS_COUNT("auth.batch.verify_expired");
-        mark_expired(decisions[valid[k]]);
+        mark_expired(decisions[shard.valid[k]]);
       }
       continue;
     }
-    // Degraded mode never builds a matrix: the breaker is engaged because
-    // the shard's dependencies are suspect, so a cold key is an honest
-    // typed shed rather than a multi-millisecond build.
-    const auto g = degraded ? cache_->peek(seed, dim) : cache_->get(seed, dim);
-    if (g == nullptr) {
+    if (resolved.matrix == nullptr) {
       for (const std::size_t k : members) {
-        mark_shed(decisions[valid[k]], "degraded mode: matrix not cached");
+        mark_shed(decisions[shard.valid[k]], "degraded mode: matrix not cached");
       }
       continue;
     }
+    const std::size_t dim = key.second;
     cs.groups += 1;
     if (members.size() >= 2) {
       cs.coalesced += members.size();
@@ -255,18 +290,19 @@ CoalesceStats BatchVerifier::verify_coalesced(std::span<const VerifyRequest> req
     xs.resize(members.size() * dim);
     transformed.resize(members.size() * dim);
     for (std::size_t m = 0; m < members.size(); ++m) {
-      const auto& probe = requests[valid[members[m]]].raw_probe;
+      const auto& probe = requests[shard.valid[members[m]]].raw_probe;
       std::copy(probe.begin(), probe.end(), xs.begin() + static_cast<std::ptrdiff_t>(m * dim));
     }
-    g->transform_batch(xs, members.size(), transformed);
+    resolved.matrix->transform_batch(xs, members.size(), transformed);
     for (std::size_t m = 0; m < members.size(); ++m) {
       const std::size_t k = members[m];
-      BatchDecision& out = decisions[valid[k]];
+      const StoredTemplate& snap = *shard.snaps[k];
+      BatchDecision& out = decisions[shard.valid[k]];
       out.known = true;
-      out.degraded = degraded;
-      out.key_version = snaps[k]->key_version;
-      out.decision = v.verify(std::span<const float>(transformed).subspan(m * dim, dim),
-                              snaps[k]->data);
+      out.degraded = shard.degraded;
+      out.key_version = snap.key_version;
+      out.decision = verifier_.verify(std::span<const float>(transformed).subspan(m * dim, dim),
+                                      snap.data);
       if (out.decision.accepted) {
         MANDIPASS_OBS_COUNT("auth.batch.verify_accepted");
         out.status = BatchStatus::Accepted;

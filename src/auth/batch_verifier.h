@@ -7,7 +7,15 @@
 //   * verify paths take a shared lock only long enough to snapshot the
 //     user's StoredTemplate (a copy), then run the heavy math — Gaussian
 //     cancelable transform + cosine distance — outside the lock;
-//   * enroll / revoke / re-key take the exclusive lock.
+//   * enroll / revoke / re-key take the exclusive lock;
+//   * the threshold is fixed at construction and needs no lock.
+//
+// The decision kernel runs in three steps: prepare (gates, one snapshot
+// window, grouping by Gaussian key), resolve (one MatrixCache lookup per
+// distinct key, resolve_keys) and decide (transform + cosine per group).
+// verify_coalesced runs the three for one shard; ShardedVerifier::serve
+// runs prepare per shard, one resolve over every shard's keys, then
+// decide per shard, so a key that several shards need is looked up once.
 //
 // A reader therefore always sees a template that existed in full at some
 // point (no torn reads: the snapshot happens under the lock), and the
@@ -18,9 +26,12 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "auth/gaussian_matrix.h"
@@ -109,6 +120,43 @@ struct CoalesceStats {
   std::size_t singletons = 0;  ///< known requests alone in their group
 };
 
+/// A Gaussian key as the kernel groups requests by it: (matrix seed,
+/// probe dim).
+using MatrixKey = std::pair<std::uint64_t, std::size_t>;
+
+/// One shard's share of a call after the prepare step
+/// (BatchVerifier::prepare): the requests past the probe gate, their
+/// snapshots, and those past the template gate grouped by key.
+struct PreparedShard {
+  std::vector<std::size_t> valid;                    ///< request indices
+  std::vector<std::optional<StoredTemplate>> snaps;  ///< snaps[k] answers valid[k]
+  /// Positions k into `valid`, per key; std::map keeps the order fixed.
+  std::map<MatrixKey, std::vector<std::size_t>> groups;
+  bool degraded = false;  ///< served in degraded mode (DESIGN.md §17.4)
+};
+
+/// One distinct key of a call after the resolve step (resolve_keys).
+struct ResolvedKey {
+  /// Some healthy shard needs the key, so it was fetched with
+  /// MatrixCache::get (built on a miss); otherwise it was peeked.
+  bool build = false;
+  bool expired = false;  ///< the budget died before its lookup
+  std::shared_ptr<const GaussianMatrix> matrix;  ///< null: expired or not cached
+};
+
+using ResolvedKeys = std::map<MatrixKey, ResolvedKey>;
+
+/// The resolve step: one lookup in `cache` per distinct key of `shards`.
+/// A key that any healthy shard needs is fetched with get and one that
+/// only degraded shards need is peeked; every shard of the call uses that
+/// one result. The deadline is checked before each lookup, and a key
+/// whose lookup the budget did not reach comes back expired. The lookups
+/// fan out over `pool` one key per task, so a single key resolves inline;
+/// a null pool runs them on the calling thread. Must be called with no
+/// shard lock held (DESIGN.md §15.3).
+ResolvedKeys resolve_keys(MatrixCache& cache, std::span<const PreparedShard> shards,
+                          const common::Deadline& deadline, common::ThreadPool* pool);
+
 /// The outcome counts of a batch (requests, known, accepted, unknown,
 /// invalid, expired, shed, degraded) plus, when `wall_ms` > 0, the wall
 /// time and throughput. Per-request service times are left to the caller.
@@ -128,8 +176,8 @@ void mark_rejected(BatchDecision& out, const common::Error& error);
 void mark_expired(BatchDecision& out);
 void mark_shed(BatchDecision& out, const char* detail);
 
-/// The locking contract below is machine-checked: every member is
-/// MANDIPASS_GUARDED_BY its mutex, the internal snapshot helpers state
+/// The locking contract below is machine-checked: the store is
+/// MANDIPASS_GUARDED_BY its mutex, the internal snapshot helper states
 /// MANDIPASS_REQUIRES_SHARED, and the public entry points state
 /// MANDIPASS_EXCLUDES (they take the lock themselves, so holding it on
 /// entry would deadlock). Under the tsafety preset (Clang,
@@ -171,9 +219,10 @@ class BatchVerifier {
 
   /// The engine's decision kernel; every verify entry point of the
   /// engine ends here. Coalesced verification of the subset
-  /// requests[indices]: one shared lock acquisition snapshots every
-  /// template plus the threshold, the known requests are grouped by
-  /// (matrix_seed, dim), and each group runs as one
+  /// requests[indices]: prepare, resolve_keys (on the calling thread)
+  /// and decide. One shared lock acquisition snapshots every template,
+  /// the known requests are grouped by (matrix_seed, dim), each group's
+  /// matrix is looked up once, and each group runs as one
   /// GaussianMatrix::transform_batch tile instead of one transform per
   /// request. decisions[i] is written for each i in `indices`
   /// (decisions.size() must equal requests.size()); other slots are
@@ -188,8 +237,8 @@ class BatchVerifier {
   ///
   /// `deadline` bounds the call: if it is already expired on entry every
   /// indexed request short-circuits to an Expired decision before any
-  /// lock or GEMM, and it is re-checked before each group's transform so
-  /// a budget that dies mid-batch stops burning cycles on answers nobody
+  /// lock or GEMM, and it is re-checked before each key's lookup so a
+  /// budget that dies mid-batch stops burning cycles on answers nobody
   /// will read. The default deadline is unlimited and costs one null
   /// check (bench_overhead's <2% gate covers this path).
   ///
@@ -205,7 +254,26 @@ class BatchVerifier {
                                  const common::Deadline& deadline = {},
                                  bool degraded = false) const MANDIPASS_EXCLUDES(mutex_);
 
-  double threshold() const MANDIPASS_EXCLUDES(mutex_);
+  /// The kernel's prepare step for requests[indices]: the deadline gate
+  /// on entry, the probe gate before any lock, ONE shared-lock window
+  /// that snapshots every template, the template gate, and grouping by
+  /// key. Rejected and expired requests get their typed decisions here;
+  /// the rest are reset and left to decide(). Same contract on
+  /// `decisions` as verify_coalesced.
+  PreparedShard prepare(std::span<const VerifyRequest> requests,
+                        std::span<const std::size_t> indices, std::span<BatchDecision> decisions,
+                        const common::Deadline& deadline, bool degraded) const
+      MANDIPASS_EXCLUDES(mutex_);
+
+  /// The kernel's decide step for one prepared shard: per group, the
+  /// key's matrix from `keys` (which must hold every key of `shard`),
+  /// one transform_batch and a cosine decision per member, written at
+  /// the member's request index. An expired key's members expire; a key
+  /// that was not cached sheds its members. Takes no lock.
+  CoalesceStats decide(std::span<const VerifyRequest> requests, const PreparedShard& shard,
+                       const ResolvedKeys& keys, std::span<BatchDecision> decisions) const;
+
+  double threshold() const { return verifier_.threshold(); }
 
   /// Crash-safe persistence of the whole store to `path` (TemplateStore
   /// atomic save + .bak rotation) with transient-I/O retry under the
@@ -220,14 +288,15 @@ class BatchVerifier {
       MANDIPASS_EXCLUDES(mutex_);
 
  private:
-  /// Shared-lock snapshot helpers: the caller must already hold mutex_
-  /// at least shared; they perform the guarded reads and nothing else.
+  /// Shared-lock snapshot helper: the caller must already hold mutex_ at
+  /// least shared; it performs the guarded read and nothing else.
   std::optional<StoredTemplate> lookup_locked(const std::string& user) const
       MANDIPASS_REQUIRES_SHARED(mutex_);
-  double threshold_locked() const MANDIPASS_REQUIRES_SHARED(mutex_);
 
+  /// The decision threshold, fixed by the constructor, so read without
+  /// the lock.
+  const Verifier verifier_;
   mutable common::SharedMutex mutex_;
-  Verifier verifier_ MANDIPASS_GUARDED_BY(mutex_);    ///< threshold can be re-tuned
   TemplateStore store_ MANDIPASS_GUARDED_BY(mutex_);  ///< template generations
 
   /// Seed-keyed Gaussian-matrix cache (auth/matrix_cache.h), possibly

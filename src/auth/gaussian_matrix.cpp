@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <span>
+#include <utility>
 
 #include "common/crc32.h"
 #include "common/error.h"
@@ -9,14 +10,15 @@
 
 namespace mandipass::auth {
 
-GaussianMatrix::GaussianMatrix(std::uint64_t seed, std::size_t dim) : seed_(seed), dim_(dim) {
+GaussianMatrix::GaussianMatrix(std::uint64_t seed, std::size_t dim, std::vector<float> storage)
+    : seed_(seed), dim_(dim) {
   MANDIPASS_EXPECTS(dim > 0);
   const double sigma = 1.0 / std::sqrt(static_cast<double>(dim));
   // x' = x * G: output j contracts column j of G, so G's row i is column i
   // of the packed operand and is written there as soon as it is drawn.
   // G[i][j] is the (i * dim + j)-th normal(0, sigma) of Rng(seed):
   // normal_floats gives those floats bit for bit, a row at a time.
-  gemm_.reset(dim, dim);
+  gemm_.reset(dim, dim, std::move(storage));
   Rng rng(seed);
   std::vector<float> row(dim);
   for (std::size_t i = 0; i < dim; ++i) {

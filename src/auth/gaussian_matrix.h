@@ -15,6 +15,9 @@
 // shared across threads — the seed-keyed MatrixCache (auth/matrix_cache.h)
 // hands out shared_ptr<const GaussianMatrix> and only its own map and
 // recency list are lock-guarded (MANDIPASS_GUARDED_BY(MatrixCache::mutex_)).
+// The one non-const member, release_storage(), is for the last owner: the
+// cache takes an evicted key's packed buffer only when no caller holds the
+// key, and builds a later missed key of the same dim into it.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +40,12 @@ class GaussianMatrix {
   /// that land next to a float rounding tie back to libm, so every entry,
   /// and checksum(), is the per-draw value above. A dim-512 key is
   /// 262 144 draws.
-  GaussianMatrix(std::uint64_t seed, std::size_t dim);
+  ///
+  /// `storage` is an optional packed buffer to build into, e.g. one a
+  /// discarded matrix of the same dim gave up through release_storage():
+  /// its capacity is reused and every float of it is overwritten, so the
+  /// matrix and checksum() are the same as without it.
+  GaussianMatrix(std::uint64_t seed, std::size_t dim, std::vector<float> storage = {});
 
   /// x' = x * G. Precondition: x.size() == dim().
   ///
@@ -65,6 +73,11 @@ class GaussianMatrix {
   /// reads. MatrixCache records this at insert and re-verifies on lookup
   /// to detect in-memory poisoning of a shared cached matrix.
   std::uint32_t checksum() const;
+
+  /// Moves the packed buffer out, for the matrix's last owner to build
+  /// another key into (MatrixCache recycles evicted keys this way). The
+  /// matrix is unusable afterwards and must only be destroyed.
+  std::vector<float> release_storage() noexcept { return gemm_.release_weights(); }
 
   /// Storage footprint of a transformed template in bytes (Section VII-E
   /// reports ~1.8 KB for a float 512-vector minus bookkeeping).

@@ -1,5 +1,8 @@
 #include "auth/matrix_cache.h"
 
+#include <iterator>
+#include <utility>
+
 #include "common/error.h"
 #include "common/obs.h"
 
@@ -49,7 +52,7 @@ std::shared_ptr<const GaussianMatrix> MatrixCache::get(std::uint64_t seed, std::
   MANDIPASS_OBS_COUNT("auth.batch.matrix_cache_misses");
   // Build outside any lock (dim^2 RNG draws), then publish. A losing
   // racer's matrix is identical by construction, so either copy is fine.
-  auto fresh = std::make_shared<const GaussianMatrix>(seed, dim);
+  auto fresh = build(seed, dim);
   const std::uint32_t crc = fresh->checksum();
   MutexLock lock(mutex_);
   auto [it, inserted] = cache_.try_emplace(seed);
@@ -58,13 +61,53 @@ std::shared_ptr<const GaussianMatrix> MatrixCache::get(std::uint64_t seed, std::
     it->second = Entry{std::move(fresh), crc, recency_.begin()};
     evict_over_cap();
   } else if (it->second.matrix->dim() != dim) {
-    it->second.matrix = std::move(fresh);
+    retire(std::exchange(it->second.matrix, std::move(fresh)));
     it->second.crc = crc;
     recency_.splice(recency_.begin(), recency_, it->second.lru);
   } else {
+    retire(std::move(fresh));
     recency_.splice(recency_.begin(), recency_, it->second.lru);
   }
   return it->second.matrix;
+}
+
+void MatrixCache::Reclaim::operator()(GaussianMatrix* matrix) const {
+  if (keep != nullptr) {
+    *keep = matrix->release_storage();
+  }
+  delete matrix;
+}
+
+std::shared_ptr<const GaussianMatrix> MatrixCache::build(std::uint64_t seed, std::size_t dim) {
+  std::vector<float> storage;
+  {
+    MutexLock lock(mutex_);
+    for (auto it = spares_.rbegin(); it != spares_.rend(); ++it) {
+      if (it->dim == dim) {
+        storage = std::move(it->packed);
+        spares_.erase(std::next(it).base());
+        break;
+      }
+    }
+  }
+  return {new GaussianMatrix(seed, dim, std::move(storage)), Reclaim{}};
+}
+
+void MatrixCache::retire(std::shared_ptr<const GaussianMatrix> matrix) {
+  // Every copy of an entry is made under mutex_, so a count of one means
+  // no caller holds this matrix and none can take it: the reset below is
+  // its last release, and the deleter runs here, ordered after every
+  // earlier holder's release. Otherwise the last holder frees it.
+  if (matrix.use_count() != 1) {
+    return;
+  }
+  Spare spare{matrix->dim(), {}};
+  std::get_deleter<Reclaim>(matrix)->keep = &spare.packed;
+  matrix.reset();
+  if (spares_.size() == kMaxSpares) {
+    spares_.erase(spares_.begin());
+  }
+  spares_.push_back(std::move(spare));
 }
 
 std::shared_ptr<const GaussianMatrix> MatrixCache::peek(std::uint64_t seed,
@@ -107,8 +150,9 @@ void MatrixCache::evict_over_cap() {
   while (cache_.size() > config_.max_entries) {
     // recency_ back = least recently used; never the entry just pushed
     // to the front, so the caller's matrix survives its own insert.
-    const std::uint64_t victim = recency_.back();
+    const auto victim = cache_.find(recency_.back());
     recency_.pop_back();
+    retire(std::move(victim->second.matrix));
     cache_.erase(victim);
     MANDIPASS_OBS_COUNT("auth.matrix_cache.evicted");
   }

@@ -17,10 +17,13 @@
 // already hold it; only the cache's reference is dropped.
 //
 // Integrity: each entry records the CRC32 of its packed kernel bytes at
-// insert and re-verifies on every lookup — one CRC pass per *group*
-// lookup (not per request) on the coalesced path. A mismatch means the
-// shared in-memory matrix was corrupted after publication (stray write,
-// poisoning) — a silent wrong-answer factory for every shard. Detection
+// insert and re-verifies on every lookup. The serving path looks each
+// distinct key up once per call (the resolve step,
+// auth/batch_verifier.h), so a call pays one CRC pass per distinct key,
+// not one per request or per shard, and every key a call uses is checked
+// in that call. A mismatch means the shared in-memory matrix was
+// corrupted after publication (stray write, poisoning) — a silent
+// wrong-answer factory for every shard. Detection
 // increments "auth.matrix_cache.poison_detected" and the entry is dropped
 // and rebuilt from its seed (get) or reported as absent (peek), so the
 // cache self-heals instead of serving poisoned transforms.
@@ -29,7 +32,7 @@
 // one Mutex guards map + recency list. A lookup holds it only for the
 // find and, in get, the recency splice: it copies the entry's shared_ptr
 // and recorded CRC, releases the lock and runs the CRC pass over the
-// copy, so concurrent lookups (shard lanes verifying their groups) run
+// copy, so concurrent lookups (resolve lanes verifying their keys) run
 // their CRC passes in parallel instead of queueing on the one lock. The
 // copy keeps the matrix alive even if the entry is evicted meanwhile.
 // On a mismatch get re-locks and drops the entry only if it still holds
@@ -40,12 +43,23 @@
 // identical matrices from the same seed. The containers are
 // MANDIPASS_GUARDED_BY(mutex_) and the contract is compiler-checked
 // under the tsafety preset (DESIGN.md §14).
+//
+// Recycled storage: an evicted or replaced matrix that no caller holds
+// gives its packed buffer back to the cache, and a later miss of the same
+// dim builds into it (GaussianMatrix's storage argument) instead of
+// allocating. The bits and the CRC of the rebuilt key are a fresh
+// build's. Without this, every miss allocates a dim^2 buffer on whichever
+// thread builds it and every eviction frees one, and the allocator keeps
+// the freed blocks in per-thread arenas. The sole-owner check runs under
+// mutex_, where every copy of an entry is made: a matrix some caller still
+// holds is never reused, and it is freed when its last holder drops it.
 #pragma once
 
 #include <cstdint>
 #include <list>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "auth/gaussian_matrix.h"
 #include "common/mutex.h"
@@ -103,6 +117,35 @@ class MatrixCache {
     std::list<std::uint64_t>::iterator lru;  ///< position in recency_
   };
 
+  /// A packed buffer given back by a dropped matrix of dimension `dim`.
+  struct Spare {
+    std::size_t dim = 0;
+    std::vector<float> packed;
+  };
+
+  /// Kept buffers, at most. Each miss takes at most one and its publish
+  /// gives back at most one, so the list only has to cover the misses in
+  /// flight at once, a handful of lanes; buffers of a dim no miss asks
+  /// for are never taken, and the cap (oldest dropped first) keeps them
+  /// from piling up. A constant, not a config field: it bounds the
+  /// cache's own slack, at most kMaxSpares dim^2 floats beyond
+  /// max_entries, and no caller needs another value.
+  static constexpr std::size_t kMaxSpares = 8;
+
+  /// Deleter of every matrix the cache builds: frees it, or, when the
+  /// cache pointed `keep` at a buffer first, moves its packed buffer there.
+  struct Reclaim {
+    std::vector<float>* keep = nullptr;
+    void operator()(GaussianMatrix* matrix) const;
+  };
+
+  /// Builds (seed, dim) outside the lock, into a kept buffer of that dim
+  /// when there is one.
+  std::shared_ptr<const GaussianMatrix> build(std::uint64_t seed, std::size_t dim)
+      MANDIPASS_EXCLUDES(mutex_);
+  /// Drops the cache's reference to a matrix it no longer lists, keeping
+  /// the packed buffer when that reference is the last one.
+  void retire(std::shared_ptr<const GaussianMatrix> matrix) MANDIPASS_REQUIRES(mutex_);
   void evict_over_cap() MANDIPASS_REQUIRES(mutex_);
 
   MatrixCacheConfig config_;
@@ -112,6 +155,8 @@ class MatrixCache {
   /// valid across splices; size is slaved to cache_ (bounded by
   /// max_entries via evict_over_cap).
   std::list<std::uint64_t> recency_ MANDIPASS_GUARDED_BY(mutex_);
+  /// Oldest first; at most kMaxSpares.
+  std::vector<Spare> spares_ MANDIPASS_GUARDED_BY(mutex_);
 };
 
 }  // namespace mandipass::auth

@@ -11,8 +11,10 @@
 //   * a CircuitBreaker driven by the shard's persistence probes
 //     (persist_shard) — while engaged, the shard serves *degraded mode*:
 //     the engine's decision kernel with its `degraded` bit set, which
-//     takes matrices only from the shared MatrixCache (peek, never
-//     build) and marks every decision it serves `degraded`;
+//     never builds a matrix for the shard (a key only degraded shards
+//     need is peeked; one a healthy shard of the same call needs is the
+//     healthy shard's get) and marks every decision it serves
+//     `degraded`;
 //   * deadline enforcement — expired requests short-circuit to typed
 //     Expired decisions at admission, and scripted slow-shard stalls
 //     (ServiceFaultInjector) are applied as deadline *skew* before the
@@ -21,7 +23,8 @@
 // After admission and a serial stall/breaker pass, the batch goes to
 // ShardedVerifier::serve, the service's one shard fan-out, so healthy
 // and degraded shards alike get the kernel's single snapshot window,
-// coalesced transform and per-group deadline re-check.
+// one lookup per distinct key of the call with its deadline re-check,
+// and the coalesced transform.
 //
 // Request taxonomy after this layer (the §17 table):
 //   shed      never entered service (queue full / degraded cache miss)

@@ -75,32 +75,53 @@ void ShardedVerifier::serve(std::span<const VerifyRequest> requests,
   MANDIPASS_EXPECTS(work.size() == shards_.size());
   common::ThreadPool& tp = pool != nullptr ? *pool : common::ThreadPool::global();
 
-  // Fan out one task per shard (grain 1). Each index sits in one shard's
-  // list, so the tasks write disjoint decision slots and need no further
-  // synchronisation. A pool lane holds at most one shard lock at a time
-  // and the MatrixCache lock is only taken after the shard's snapshot
-  // lock is released — no overlapping acquisition order exists, hence no
-  // deadlock. The per-shard work is independent of lane assignment, so
-  // decisions are identical for any thread count.
-  std::vector<CoalesceStats> shard_cs(work.size());
-  tp.parallel_for(0, work.size(), 1, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t s = lo; s < hi; ++s) {
-      if (!work[s].indices.empty()) {
-        shard_cs[s] = shards_[s]->verify_coalesced(requests, work[s].indices, decisions,
-                                                   deadline, work[s].degraded);
-      }
+  // The kernel's three steps, each fanned out with grain 1 over the shards
+  // that have work (or, for resolve, the call's distinct keys), so a
+  // one-request call runs inline and wakes no worker. A call on one shard
+  // resolves its keys on the calling thread, as that shard's own kernel
+  // would: it has no duplicate lookup to save, and with concurrent
+  // callers already busy on every core, spreading its lookups over the
+  // pool adds wake-ups and waiting but no parallelism. Each index sits in
+  // one shard's list, so the shard tasks write disjoint decision slots.
+  // Lock topology (DESIGN.md §15.3): a lane holds at most one shard lock,
+  // inside prepare; the resolve step starts only after every snapshot
+  // window has closed, so the cache lock never overlaps a shard lock; and
+  // decide takes no lock. The per-shard and per-key work is independent
+  // of lane assignment, so decisions are identical for any thread count.
+  std::vector<std::size_t> active;
+  for (std::size_t s = 0; s < work.size(); ++s) {
+    if (!work[s].indices.empty()) {
+      active.push_back(s);
+    }
+  }
+  std::vector<PreparedShard> prepared(active.size());
+  tp.parallel_for(0, active.size(), 1, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t a = lo; a < hi; ++a) {
+      const ShardWork& w = work[active[a]];
+      prepared[a] =
+          shards_[active[a]]->prepare(requests, w.indices, decisions, deadline, w.degraded);
+    }
+  });
+  const ResolvedKeys keys =
+      resolve_keys(*cache_, prepared, deadline, active.size() > 1 ? &tp : nullptr);
+  std::vector<CoalesceStats> shard_cs(active.size());
+  tp.parallel_for(0, active.size(), 1, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t a = lo; a < hi; ++a) {
+      shard_cs[a] = shards_[active[a]]->decide(requests, prepared[a], keys, decisions);
     }
   });
 
   // Aggregate coalescing accounting after the join, on the caller thread,
   // so counter totals are exact and independent of lane interleaving.
   std::size_t routed = 0;
+  for (const ShardWork& w : work) {
+    routed += w.indices.size();
+  }
   CoalesceStats total;
-  for (std::size_t s = 0; s < work.size(); ++s) {
-    routed += work[s].indices.size();
-    total.groups += shard_cs[s].groups;
-    total.coalesced += shard_cs[s].coalesced;
-    total.singletons += shard_cs[s].singletons;
+  for (const CoalesceStats& cs : shard_cs) {
+    total.groups += cs.groups;
+    total.coalesced += cs.coalesced;
+    total.singletons += cs.singletons;
   }
   MANDIPASS_OBS_COUNT_N("auth.shard.verify_total", routed);
   MANDIPASS_OBS_COUNT_N("auth.shard.coalesced_groups", total.groups);

@@ -14,12 +14,14 @@
 //   * verify_batch routes each request to its shard, then hands the
 //     per-shard lists to serve(), the service's one shard fan-out (the
 //     resilience layer calls it too, after its own admission). serve()
-//     runs one BatchVerifier::verify_coalesced per non-empty shard on
-//     the thread pool: within a shard the requests are grouped by
-//     Gaussian-matrix seed and each group runs as one packed-GEMM tile —
-//     the Gaussian product is the dominant per-verification cost, and
-//     same-seed requests share one streaming pass over the packed
-//     matrix.
+//     runs the engine's decision kernel (auth/batch_verifier.h) across
+//     the shards on the thread pool: BatchVerifier::prepare per shard,
+//     one resolve_keys over every shard's Gaussian keys — so a key that
+//     several shards need costs one cache lookup, one CRC pass — then
+//     BatchVerifier::decide per shard. Within a shard the requests are
+//     grouped by Gaussian-matrix seed and each group runs as one
+//     packed-GEMM tile: same-seed requests share one streaming pass over
+//     the packed matrix.
 //
 // Shard invariance: every decision is produced by the same snapshot +
 // transform + cosine pipeline as a lone BatchVerifier, and coalescing
@@ -31,12 +33,12 @@
 // Lock topology: the shard array and the shared MatrixCache pointer are
 // immutable after construction, so this class adds NO lock of its own —
 // the only capabilities involved are each shard's internal mutex_ (never
-// held two at a time: the router touches one shard per request, and the
-// batch fan-out gives each pool lane exclusively its own shard set) and
-// the MatrixCache mutex (never held while a shard lock is held: shards
-// snapshot templates first, then consult the cache after release).
-// Deadlock is therefore impossible by construction — there is no point
-// where two locks overlap.
+// held two at a time: the router touches one shard per request, and only
+// the prepare step locks a shard, one shard per pool task) and the
+// MatrixCache mutex (never held while a shard lock is held: the resolve
+// step starts after every prepare of the call has released its shard
+// lock, and decide takes no lock). Deadlock is therefore impossible by
+// construction — there is no point where two locks overlap.
 #pragma once
 
 #include <cstdint>
@@ -104,26 +106,30 @@ class ShardedVerifier {
                            common::ThreadPool* pool = nullptr,
                            const common::Deadline& deadline = {}) const;
 
-  /// The shard fan-out: one BatchVerifier::verify_coalesced call per
-  /// non-empty work[s] on `pool` (the global pool when null), which
-  /// writes decisions[i] for each routed index i and leaves other slots
-  /// untouched. work.size() must equal shard_count(), each index must
-  /// appear at most once, in the list of the shard that owns its user,
-  /// and decisions.size() must equal requests.size().
+  /// The shard fan-out, on `pool` (the global pool when null): the
+  /// kernel's prepare step for each non-empty work[s], one task per
+  /// shard; then resolve_keys over the union of their keys, one task per
+  /// key (on the calling thread when one shard has work) — a key any
+  /// healthy shard needs is fetched with get, one only degraded shards
+  /// need is peeked, and every shard uses that one result; then the
+  /// decide step per shard. Writes decisions[i] for each routed index i
+  /// and leaves other slots untouched. A one-request call runs inline. work.size() must equal shard_count(), each index
+  /// must appear at most once, in the list of the shard that owns its
+  /// user, and decisions.size() must equal requests.size().
   /// auth.shard.{verify_total, coalesced_groups, coalesced_requests,
   /// singleton_requests} are counted after the join on the caller
   /// thread, so they do not depend on the thread count.
   ///
-  /// `deadline` bounds the call: each shard's kernel answers an expired
+  /// `deadline` bounds the call: each shard's prepare answers an expired
   /// budget with typed Expired decisions before any lock or GEMM, and
-  /// re-checks it before each GEMM group. An unlimited deadline adds one
-  /// null check to the fast path.
+  /// the resolve step re-checks it before each key's lookup. An
+  /// unlimited deadline adds one null check to the fast path.
   void serve(std::span<const VerifyRequest> requests, std::span<const ShardWork> work,
              std::span<BatchDecision> decisions, common::ThreadPool* pool,
              const common::Deadline& deadline) const;
 
   /// Operating threshold (uniform across shards, fixed at construction;
-  /// read from shard 0).
+  /// read from shard 0 without a lock).
   double threshold() const;
 
   /// The shared matrix cache (exposed for accounting; the non-const form

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/error.h"
 #include "nn/batchnorm.h"
@@ -79,13 +80,23 @@ ScratchArena& thread_scratch_arena() {
   return arena;
 }
 
-void PackedGemm::reset(std::size_t rows, std::size_t cols) {
+void PackedGemm::reset(std::size_t rows, std::size_t cols, std::vector<float> storage) {
   MANDIPASS_EXPECTS(rows > 0 && cols > 0);
   rows_ = rows;
   cols_ = cols;
   const std::size_t blocks = (rows + kOcBlock - 1) / kOcBlock;
+  if (storage.capacity() > weights_.capacity()) {
+    weights_.swap(storage);
+  }
   weights_.assign(blocks * cols * kOcBlock, 0.0f);
   bias_.assign(blocks * kOcBlock, 0.0f);
+}
+
+std::vector<float> PackedGemm::release_weights() noexcept {
+  rows_ = 0;
+  cols_ = 0;
+  bias_.clear();
+  return std::move(weights_);
 }
 
 void PackedGemm::pack_rows(const float* w, const float* bias, std::size_t rows,
@@ -105,8 +116,16 @@ void PackedGemm::pack_rows(const float* w, const float* bias, std::size_t rows,
 
 void PackedGemm::write_column(std::size_t c, std::span<const float> column) {
   MANDIPASS_EXPECTS(c < cols_ && column.size() == rows_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    weights_[((r / kOcBlock) * cols_ + c) * kOcBlock + r % kOcBlock] = column[r];
+  // Rows [b * kOcBlock, (b + 1) * kOcBlock) of column c sit contiguously
+  // at (b * cols + c) * kOcBlock; only a padded last block is partial.
+  const std::size_t full = rows_ / kOcBlock;
+  for (std::size_t b = 0; b < full; ++b) {
+    std::copy_n(column.data() + b * kOcBlock, kOcBlock,
+                weights_.data() + (b * cols_ + c) * kOcBlock);
+  }
+  if (const std::size_t tail = rows_ - full * kOcBlock; tail > 0) {
+    std::copy_n(column.data() + full * kOcBlock, tail,
+                weights_.data() + (full * cols_ + c) * kOcBlock);
   }
 }
 

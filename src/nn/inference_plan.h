@@ -150,15 +150,23 @@ class PackedGemm {
   void pack_rows(const float* w, const float* bias, std::size_t rows, std::size_t cols);
 
   /// Sizes the packed buffers for a (rows, cols) matrix with every weight
-  /// and bias zero, to be filled in place with write_column().
-  void reset(std::size_t rows, std::size_t cols);
+  /// and bias zero, to be filled in place with write_column(). The weights
+  /// go into `storage` when it has more capacity than the current buffer,
+  /// so a buffer taken from a discarded GEMM (release_weights) of the
+  /// same shape is refilled without an allocation.
+  void reset(std::size_t rows, std::size_t cols, std::vector<float> storage = {});
+
+  /// Moves the packed weight buffer out and leaves the GEMM empty, for an
+  /// owner about to discard it that wants the buffer for another reset().
+  std::vector<float> release_weights() noexcept;
 
   /// Writes column c of W in place: W[r][c] = column[r] for r < rows().
   /// Column c of W is row c of a right-multiplication operand (x' = x * G
   /// packs W = G^T), so such an operand is packed row by row as it is
-  /// generated, with no row-major copy and no transpose pass. Distinct
-  /// columns occupy disjoint floats, so threads may write distinct
-  /// columns of one matrix concurrently.
+  /// generated, with no row-major copy and no transpose pass. Each block
+  /// of kOcBlock rows is one contiguous run of the packed buffer and is
+  /// copied as one. Distinct columns occupy disjoint floats, so threads
+  /// may write distinct columns of one matrix concurrently.
   /// Precondition: c < cols() and column.size() == rows().
   void write_column(std::size_t c, std::span<const float> column);
 

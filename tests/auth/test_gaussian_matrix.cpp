@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -226,6 +228,27 @@ TEST(GaussianMatrix, BitsMatchWhenFourThreadsBuildAtOnce) {
   }
   for (std::size_t t = 0; t < built.size(); ++t) {
     expect_bits(*built[t], serial_reference(200 + t, kDim), "thread " + std::to_string(t));
+  }
+}
+
+TEST(GaussianMatrix, BitsMatchWhenBuiltIntoARecycledBuffer) {
+  // A key built into the packed buffer a discarded key of the same dim
+  // gave up (MatrixCache's recycling) keeps that allocation and is a fresh
+  // build bit for bit: every float is overwritten, the zero padding of a
+  // partial last block included.
+  for (const std::size_t dim : {std::size_t{17}, std::size_t{64}, std::size_t{257}}) {
+    const std::string what = "dim " + std::to_string(dim);
+    GaussianMatrix discarded(1, dim);
+    std::vector<float> buffer = discarded.release_storage();
+    std::fill(buffer.begin(), buffer.end(), std::numeric_limits<float>::quiet_NaN());
+    const float* storage = buffer.data();
+    GaussianMatrix rebuilt(2, dim, std::move(buffer));
+    expect_bits(rebuilt, serial_reference(2, dim), what);
+    const GaussianMatrix fresh(2, dim);
+    EXPECT_EQ(rebuilt.checksum(), fresh.checksum()) << what;
+    const auto x = random_vec(dim, 3);
+    EXPECT_EQ(rebuilt.transform(x), fresh.transform(x)) << what;
+    EXPECT_EQ(rebuilt.release_storage().data(), storage) << what << ": buffer reallocated";
   }
 }
 

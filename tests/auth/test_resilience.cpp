@@ -155,10 +155,36 @@ TEST(MatrixCache, EvictedMatrixSurvivesThroughOutstandingSharedPtr) {
   ASSERT_NE(held, nullptr);
   ASSERT_NE(cache.get(8, 8), nullptr);  // evicts seed 7 from the cache
   EXPECT_EQ(cache.peek(7, 8), nullptr);
+  // Further misses of the same dim evict keys nobody holds and rebuild
+  // into their buffers; the held matrix's buffer is never one of them.
+  for (std::uint64_t seed = 9; seed < 14; ++seed) {
+    ASSERT_NE(cache.get(seed, 8), nullptr);
+  }
   // The caller's reference is unaffected by the eviction.
   const GaussianMatrix fresh(7, 8);
   const std::vector<float> probe{1, 2, 3, 4, 5, 6, 7, 8};
   EXPECT_EQ(held->transform(probe), fresh.transform(probe));
+  EXPECT_EQ(held->checksum(), fresh.checksum());
+}
+
+TEST(MatrixCache, KeysRebuiltIntoRecycledBuffersAreFreshBuilds) {
+  // One entry: from the third miss on, each miss builds into the buffer
+  // of the key evicted by the miss before it. A key of another dim in
+  // between must neither take nor spoil those buffers.
+  MatrixCache cache({.max_entries = 1});
+  Rng rng(31);
+  const std::vector<float> probe = random_print(rng);
+  for (std::uint64_t seed = 20; seed < 28; ++seed) {
+    const std::size_t dim = seed == 24 ? 16 : kDim;
+    const auto g = cache.get(seed, dim);
+    ASSERT_NE(g, nullptr);
+    const GaussianMatrix fresh(seed, dim);
+    EXPECT_EQ(g->checksum(), fresh.checksum()) << seed;
+    if (dim == kDim) {
+      EXPECT_EQ(g->transform(probe), fresh.transform(probe)) << seed;
+    }
+  }
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(MatrixCache, PeekNeverBuildsAndNeverCountsHitOrMiss) {
@@ -441,6 +467,66 @@ TEST(ResilientVerifier, DegradedColdCacheMissIsATypedShed) {
     EXPECT_EQ(d.reason, common::ErrorCode::Overloaded);
   }
   EXPECT_EQ(counter_value("auth.resil.degraded_miss"), miss_before + sc.requests.size());
+}
+
+TEST(ResilientVerifier, DegradedShardServesAColdKeyAHealthyShardBuildsInTheSameCall) {
+  // One call, cold cache: a degraded shard needs keys that healthy shards
+  // need too, and one key (the lone user's) that only it needs. Each key
+  // is looked up once per call: the healthy shards' get builds the shared
+  // keys and the degraded shard serves from them with its bit set; the
+  // lone key is only peeked, so its request sheds. No lane timing enters
+  // the outcome, so every run at every pool size is identical.
+  constexpr std::size_t kBroken = 1;
+  constexpr std::uint64_t kLoneSeed = 9000;
+  ResilienceConfig config;
+  config.breaker.failure_threshold = 1;
+  std::vector<BatchResult> runs;
+  for (const std::size_t lanes : {1u, 2u, 8u}) {
+    common::ThreadPool pool(lanes);
+    for (int repeat = 0; repeat < 3; ++repeat) {
+      Scenario sc(4, config);
+      std::string lone = "lone";
+      while (sc.resilient.shard_for(lone) != kBroken) {
+        lone += "+";
+      }
+      const StoredTemplate tmpl = make_template(sc.prints[0], kLoneSeed, 1);
+      sc.resilient.enroll(lone, tmpl);
+      sc.reference.enroll(lone, tmpl);
+      sc.requests.push_back({lone, sc.prints[0]});
+      sc.resilient.breaker(kBroken).record_failure();
+      ASSERT_TRUE(sc.resilient.breaker(kBroken).engaged());
+
+      const BatchResult want = sc.reference.verify_batch(sc.requests, &pool);
+      const BatchResult got = sc.resilient.verify_batch(sc.requests, &pool);
+      std::size_t degraded = 0;
+      for (std::size_t i = 0; i < sc.requests.size(); ++i) {
+        const BatchDecision& d = got.decisions[i];
+        if (sc.requests[i].user == lone) {
+          EXPECT_EQ(d.status, BatchStatus::Shed);
+          EXPECT_EQ(d.reason, common::ErrorCode::Overloaded);
+          continue;
+        }
+        const bool broken = sc.resilient.shard_for(sc.requests[i].user) == kBroken;
+        degraded += broken ? 1 : 0;
+        EXPECT_EQ(d.degraded, broken) << i;
+        EXPECT_EQ(d.status, want.decisions[i].status) << i;
+        EXPECT_EQ(d.decision.distance, want.decisions[i].decision.distance) << i;
+      }
+      ASSERT_GT(degraded, 0u);
+      EXPECT_EQ(got.stats.degraded, degraded);
+      EXPECT_EQ(got.stats.shed, 1u);
+      runs.push_back(got);
+    }
+  }
+  for (std::size_t r = 1; r < runs.size(); ++r) {
+    for (std::size_t i = 0; i < runs[0].decisions.size(); ++i) {
+      const BatchDecision& a = runs[0].decisions[i];
+      const BatchDecision& b = runs[r].decisions[i];
+      EXPECT_EQ(a.status, b.status) << "run " << r << " request " << i;
+      EXPECT_EQ(a.degraded, b.degraded) << "run " << r << " request " << i;
+      EXPECT_EQ(a.decision.distance, b.decision.distance) << "run " << r << " request " << i;
+    }
+  }
 }
 
 TEST(ResilientVerifier, PersistFailuresTripBreakerAndProbeRecloses) {

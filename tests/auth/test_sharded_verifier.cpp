@@ -16,6 +16,7 @@
 
 #include "auth/batch_verifier.h"
 #include "auth/gaussian_matrix.h"
+#include "common/obs.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 
@@ -258,6 +259,44 @@ TEST(ShardedVerifier, DuplicateIdBatchesNeitherDeadlockNorReorder) {
   for (std::size_t i = 4; i < 64; i += 4) {
     expect_same_decision(got.decisions[i], got.decisions[0], i);
     EXPECT_EQ(got.decisions[i].decision.distance, got.decisions[0].decision.distance);
+  }
+}
+
+// One cache lookup per distinct key per call: a batch whose keys repeat
+// across shards makes one hit or miss per distinct (seed, dim), cold or
+// warm, at any shard count. A per-shard lookup would make one per key per
+// shard that holds it.
+TEST(ShardedVerifier, OneCacheLookupPerDistinctKeyPerCall) {
+  constexpr std::size_t kUsers = 48;
+  constexpr std::uint64_t kKeys = 4;
+  const auto lookups = [] {
+    return common::obs::counter("auth.batch.matrix_cache_hits").value() +
+           common::obs::counter("auth.batch.matrix_cache_misses").value();
+  };
+  MirroredEngines engines;
+  Rng rng(28);
+  std::vector<VerifyRequest> requests;
+  for (std::size_t u = 0; u < kUsers; ++u) {
+    const auto print = random_print(rng);
+    engines.enroll(user_name(u), make_template(print, 800 + u % kKeys, 1));
+    requests.push_back({user_name(u), print});
+  }
+  requests.push_back({"ghost", requests[0].raw_probe});  // unknown: no key
+  requests.push_back({user_name(1), {}});                // invalid: no key
+  std::set<std::size_t> shards_with_key0;
+  for (std::size_t u = 0; u < kUsers; u += kKeys) {
+    shards_with_key0.insert(engines.s8.shard_for(user_name(u)));
+  }
+  ASSERT_GT(shards_with_key0.size(), 1u) << "the batch must repeat a key across shards";
+
+  common::ThreadPool pool(4);
+  for (ShardedVerifier* engine : {&engines.s1, &engines.s2, &engines.s8}) {
+    for (const char* pass : {"cold", "warm"}) {
+      const std::uint64_t before = lookups();
+      const BatchResult got = engine->verify_batch(requests, &pool);
+      EXPECT_EQ(lookups() - before, kKeys) << engine->shard_count() << " shards, " << pass;
+      EXPECT_EQ(got.stats.known, kUsers);
+    }
   }
 }
 

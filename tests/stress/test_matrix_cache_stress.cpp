@@ -1,17 +1,21 @@
 // Concurrency stress for MatrixCache's lock scope (ctest label: stress;
-// runs under the tsan preset in CI).
+// runs under the tsan and asan presets in CI).
 //
 // A lookup holds the cache mutex only for the find and the recency
 // splice and runs its CRC pass over a copied shared_ptr after releasing
-// it. Two races follow from that, and each gets a test:
+// it. Three races follow from that and from storage recycling, and each
+// gets a test:
 //   * many lookups verify one poisoned entry at once — exactly one of
 //     them may drop and count it, and every caller still gets an exact
 //     matrix;
 //   * an entry is evicted while another thread is still verifying it —
 //     the copy must keep the matrix alive and exact, and every call is
-//     counted as exactly one hit or one miss.
+//     counted as exactly one hit or one miss;
+//   * an evicted matrix that a thread still holds must never become the
+//     buffer another thread's miss builds into.
 // "Exact" is bit for bit against a fresh GaussianMatrix of the same
-// (seed, dim). TSan independently checks the lock protocol.
+// (seed, dim). TSan independently checks the lock protocol and the
+// hand-over of recycled buffers; ASan a buffer freed under a holder.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -118,6 +122,42 @@ TEST(MatrixCacheStress, EntriesEvictedMidVerifyStayExactAndEveryCallCounts) {
   EXPECT_EQ(counter_value("auth.batch.matrix_cache_hits") - hits_before +
                 counter_value("auth.batch.matrix_cache_misses") - misses_before,
             kThreads * kCallsPerThread);
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(MatrixCacheStress, MatricesHeldAcrossEvictionsAreNeverRecycled) {
+  constexpr std::size_t kSeeds = 5;
+  constexpr std::size_t kRounds = 60;
+  constexpr std::size_t kChecksPerHold = 4;
+  const std::vector<float> probe = make_probe();
+  std::vector<std::vector<float>> expected;
+  std::vector<std::uint32_t> crc;
+  for (std::uint64_t s = 0; s < kSeeds; ++s) {
+    const GaussianMatrix fresh(200 + s, kDim);
+    expected.push_back(fresh.transform(probe));
+    crc.push_back(fresh.checksum());
+  }
+
+  // One entry: every miss evicts, and the miss after it builds into the
+  // evicted key's buffer unless someone still holds that key. Even
+  // threads hold each key they get across the odd threads' misses and
+  // re-check it while they hold it.
+  MatrixCache cache({.max_entries = 1});
+  std::atomic<std::size_t> wrong{0};
+  run_together([&](std::size_t t) {
+    for (std::size_t i = 0; i < kRounds; ++i) {
+      const std::uint64_t s = (t * 3 + i) % kSeeds;
+      const auto g = cache.get(200 + s, kDim);
+      const std::size_t checks = t % 2 == 0 ? kChecksPerHold : 1;
+      for (std::size_t c = 0; c < checks; ++c) {
+        if (g == nullptr || g->transform(probe) != expected[s] || g->checksum() != crc[s]) {
+          wrong.fetch_add(1, std::memory_order_relaxed);
+        }
+        std::this_thread::yield();
+      }
+    }
+  });
+  EXPECT_EQ(wrong.load(), 0u);
   EXPECT_EQ(cache.size(), 1u);
 }
 
