@@ -138,11 +138,9 @@ BatchDecision BatchVerifier::verify_one(const std::string& user,
 CoalesceStats BatchVerifier::verify_coalesced(std::span<const VerifyRequest> requests,
                                               std::span<const std::size_t> indices,
                                               std::span<BatchDecision> decisions,
-                                              const common::Deadline& deadline,
-                                              bool degraded) const {
-  const PreparedShard shard = prepare(requests, indices, decisions, deadline, degraded);
-  return decide(requests, shard, resolve_keys(*cache_, {&shard, 1}, deadline, nullptr),
-                decisions);
+                                              const common::Deadline& deadline) const {
+  const PreparedShard shard = prepare(requests, indices, decisions, deadline, false);
+  return decide(requests, {&shard, 1}, decisions, deadline, nullptr);
 }
 
 PreparedShard BatchVerifier::prepare(std::span<const VerifyRequest> requests,
@@ -216,103 +214,114 @@ PreparedShard BatchVerifier::prepare(std::span<const VerifyRequest> requests,
   return shard;
 }
 
-ResolvedKeys resolve_keys(MatrixCache& cache, std::span<const PreparedShard> shards,
-                          const common::Deadline& deadline, common::ThreadPool* pool) {
-  ResolvedKeys keys;
+CoalesceStats BatchVerifier::decide(std::span<const VerifyRequest> requests,
+                                    std::span<const PreparedShard> shards,
+                                    std::span<BatchDecision> decisions,
+                                    const common::Deadline& deadline,
+                                    common::ThreadPool* pool) const {
+  // One task per distinct key: every shard's group of it, and whether a
+  // healthy shard needs it. std::map keeps the tasks in key order.
+  struct KeyTask {
+    bool build = false;
+    std::vector<std::pair<const PreparedShard*, std::span<const std::size_t>>> groups;
+    CoalesceStats cs;
+  };
+  std::map<MatrixKey, KeyTask> keys;
   for (const PreparedShard& shard : shards) {
-    for (const auto& group : shard.groups) {
-      keys[group.first].build |= !shard.degraded;
+    for (const auto& [key, members] : shard.groups) {
+      KeyTask& task = keys[key];
+      task.build |= !shard.degraded;
+      task.groups.emplace_back(&shard, members);
     }
   }
   // The map's shape is fixed from here on, so lanes may fill distinct
-  // values concurrently.
-  std::vector<std::pair<const MatrixKey, ResolvedKey>*> slots;
-  slots.reserve(keys.size());
-  for (auto& slot : keys) {
-    slots.push_back(&slot);
+  // tasks concurrently. Each request sits in one shard's list and one
+  // key's group, so the tasks write disjoint decision slots, and a task's
+  // work does not depend on the lane that runs it, so the decisions are
+  // identical for any thread count.
+  std::vector<std::pair<const MatrixKey, KeyTask>*> tasks;
+  tasks.reserve(keys.size());
+  for (auto& entry : keys) {
+    tasks.push_back(&entry);
   }
-  const auto lookup = [&](std::size_t lo, std::size_t hi) {
+  const auto run = [&](std::size_t lo, std::size_t hi) {
+    std::vector<float> xs;
+    std::vector<float> transformed;
     for (std::size_t n = lo; n < hi; ++n) {
-      const auto& [seed, dim] = slots[n]->first;
-      ResolvedKey& key = slots[n]->second;
-      // Once the budget dies, the remaining keys' groups expire instead
+      const auto& [seed, dim] = tasks[n]->first;
+      KeyTask& task = tasks[n]->second;
+      // Once the budget dies, the remaining keys' members expire instead
       // of burning CRC passes and builds on answers nobody will read.
-      if (deadline.expired()) {
-        key.expired = true;
-        continue;
-      }
       // Degraded mode never builds a matrix: the breaker is engaged
       // because the shard's dependencies are suspect, so a cold key is an
       // honest typed shed rather than a multi-millisecond build.
-      key.matrix = key.build ? cache.get(seed, dim) : cache.peek(seed, dim);
+      const bool expired = deadline.expired();
+      std::shared_ptr<const GaussianMatrix> matrix;
+      if (!expired) {
+        matrix = task.build ? cache_->get(seed, dim) : cache_->peek(seed, dim);
+      }
+      for (const auto& [shard, members] : task.groups) {
+        if (matrix == nullptr) {
+          for (const std::size_t k : members) {
+            if (expired) {
+              MANDIPASS_OBS_COUNT("auth.batch.verify_expired");
+              mark_expired(decisions[shard->valid[k]]);
+            } else {
+              mark_shed(decisions[shard->valid[k]], "degraded mode: matrix not cached");
+            }
+          }
+          continue;
+        }
+        // One packed-GEMM tile per shard's group: pack the member probes
+        // contiguously and stream the matrix once per kXTile probes.
+        // transform_batch keeps transform()'s per-element accumulation
+        // order, so every distance below is bit-identical to a lone
+        // transform.
+        task.cs.groups += 1;
+        if (members.size() >= 2) {
+          task.cs.coalesced += members.size();
+        } else {
+          task.cs.singletons += 1;
+        }
+        xs.resize(members.size() * dim);
+        transformed.resize(members.size() * dim);
+        for (std::size_t m = 0; m < members.size(); ++m) {
+          const auto& probe = requests[shard->valid[members[m]]].raw_probe;
+          std::copy(probe.begin(), probe.end(), xs.begin() + static_cast<std::ptrdiff_t>(m * dim));
+        }
+        matrix->transform_batch(xs, members.size(), transformed);
+        for (std::size_t m = 0; m < members.size(); ++m) {
+          const StoredTemplate& snap = *shard->snaps[members[m]];
+          BatchDecision& out = decisions[shard->valid[members[m]]];
+          out.known = true;
+          out.degraded = shard->degraded;
+          out.key_version = snap.key_version;
+          out.decision = verifier_.verify(
+              std::span<const float>(transformed).subspan(m * dim, dim), snap.data);
+          if (out.decision.accepted) {
+            MANDIPASS_OBS_COUNT("auth.batch.verify_accepted");
+            out.status = BatchStatus::Accepted;
+          } else {
+            MANDIPASS_OBS_COUNT("auth.batch.verify_rejected");
+            out.status = BatchStatus::Rejected;
+          }
+        }
+      }
     }
   };
   if (pool == nullptr) {
-    lookup(0, slots.size());
+    run(0, tasks.size());
   } else {
-    pool->parallel_for(0, slots.size(), 1, lookup);
+    pool->parallel_for(0, tasks.size(), 1, run);
   }
-  return keys;
-}
-
-CoalesceStats BatchVerifier::decide(std::span<const VerifyRequest> requests,
-                                    const PreparedShard& shard, const ResolvedKeys& keys,
-                                    std::span<BatchDecision> decisions) const {
-  // One packed-GEMM tile per group: pack the member probes contiguously
-  // and stream the group's matrix once per kXTile probes. transform_batch
-  // keeps transform()'s per-element accumulation order, so every distance
-  // below is bit-identical to a lone transform.
-  CoalesceStats cs;
-  std::vector<float> xs;
-  std::vector<float> transformed;
-  for (const auto& [key, members] : shard.groups) {
-    const ResolvedKey& resolved = keys.at(key);
-    if (resolved.expired) {
-      for (const std::size_t k : members) {
-        MANDIPASS_OBS_COUNT("auth.batch.verify_expired");
-        mark_expired(decisions[shard.valid[k]]);
-      }
-      continue;
-    }
-    if (resolved.matrix == nullptr) {
-      for (const std::size_t k : members) {
-        mark_shed(decisions[shard.valid[k]], "degraded mode: matrix not cached");
-      }
-      continue;
-    }
-    const std::size_t dim = key.second;
-    cs.groups += 1;
-    if (members.size() >= 2) {
-      cs.coalesced += members.size();
-    } else {
-      cs.singletons += 1;
-    }
-    xs.resize(members.size() * dim);
-    transformed.resize(members.size() * dim);
-    for (std::size_t m = 0; m < members.size(); ++m) {
-      const auto& probe = requests[shard.valid[members[m]]].raw_probe;
-      std::copy(probe.begin(), probe.end(), xs.begin() + static_cast<std::ptrdiff_t>(m * dim));
-    }
-    resolved.matrix->transform_batch(xs, members.size(), transformed);
-    for (std::size_t m = 0; m < members.size(); ++m) {
-      const std::size_t k = members[m];
-      const StoredTemplate& snap = *shard.snaps[k];
-      BatchDecision& out = decisions[shard.valid[k]];
-      out.known = true;
-      out.degraded = shard.degraded;
-      out.key_version = snap.key_version;
-      out.decision = verifier_.verify(std::span<const float>(transformed).subspan(m * dim, dim),
-                                      snap.data);
-      if (out.decision.accepted) {
-        MANDIPASS_OBS_COUNT("auth.batch.verify_accepted");
-        out.status = BatchStatus::Accepted;
-      } else {
-        MANDIPASS_OBS_COUNT("auth.batch.verify_rejected");
-        out.status = BatchStatus::Rejected;
-      }
-    }
+  // Summed after the join, on the calling thread.
+  CoalesceStats total;
+  for (const auto& entry : keys) {
+    total.groups += entry.second.cs.groups;
+    total.coalesced += entry.second.cs.coalesced;
+    total.singletons += entry.second.cs.singletons;
   }
-  return cs;
+  return total;
 }
 
 BatchResult BatchVerifier::verify_batch(std::span<const VerifyRequest> requests,

@@ -10,12 +10,14 @@
 //   * enroll / revoke / re-key take the exclusive lock;
 //   * the threshold is fixed at construction and needs no lock.
 //
-// The decision kernel runs in three steps: prepare (gates, one snapshot
-// window, grouping by Gaussian key), resolve (one MatrixCache lookup per
-// distinct key, resolve_keys) and decide (transform + cosine per group).
-// verify_coalesced runs the three for one shard; ShardedVerifier::serve
-// runs prepare per shard, one resolve over every shard's keys, then
-// decide per shard, so a key that several shards need is looked up once.
+// The decision kernel runs in two steps: prepare (gates, one snapshot
+// window, grouping by Gaussian key), per shard, and decide, once per
+// call: one task per distinct key looks it up in the MatrixCache once
+// and runs every shard's group of that key (transform + cosine per
+// member). verify_coalesced runs the two for one shard;
+// ShardedVerifier::serve prepares every shard on the calling thread,
+// then decides them all in one fan-out, so a key that several shards
+// need is looked up once.
 //
 // A reader therefore always sees a template that existed in full at some
 // point (no torn reads: the snapshot happens under the lock), and the
@@ -34,7 +36,6 @@
 #include <utility>
 #include <vector>
 
-#include "auth/gaussian_matrix.h"
 #include "auth/matrix_cache.h"
 #include "auth/resilience/backoff.h"
 #include "auth/template_store.h"
@@ -135,28 +136,6 @@ struct PreparedShard {
   bool degraded = false;  ///< served in degraded mode (DESIGN.md §17.4)
 };
 
-/// One distinct key of a call after the resolve step (resolve_keys).
-struct ResolvedKey {
-  /// Some healthy shard needs the key, so it was fetched with
-  /// MatrixCache::get (built on a miss); otherwise it was peeked.
-  bool build = false;
-  bool expired = false;  ///< the budget died before its lookup
-  std::shared_ptr<const GaussianMatrix> matrix;  ///< null: expired or not cached
-};
-
-using ResolvedKeys = std::map<MatrixKey, ResolvedKey>;
-
-/// The resolve step: one lookup in `cache` per distinct key of `shards`.
-/// A key that any healthy shard needs is fetched with get and one that
-/// only degraded shards need is peeked; every shard of the call uses that
-/// one result. The deadline is checked before each lookup, and a key
-/// whose lookup the budget did not reach comes back expired. The lookups
-/// fan out over `pool` one key per task, so a single key resolves inline;
-/// a null pool runs them on the calling thread. Must be called with no
-/// shard lock held (DESIGN.md §15.3).
-ResolvedKeys resolve_keys(MatrixCache& cache, std::span<const PreparedShard> shards,
-                          const common::Deadline& deadline, common::ThreadPool* pool);
-
 /// The outcome counts of a batch (requests, known, accepted, unknown,
 /// invalid, expired, shed, degraded) plus, when `wall_ms` > 0, the wall
 /// time and throughput. Per-request service times are left to the caller.
@@ -219,10 +198,10 @@ class BatchVerifier {
 
   /// The engine's decision kernel; every verify entry point of the
   /// engine ends here. Coalesced verification of the subset
-  /// requests[indices]: prepare, resolve_keys (on the calling thread)
-  /// and decide. One shared lock acquisition snapshots every template,
-  /// the known requests are grouped by (matrix_seed, dim), each group's
-  /// matrix is looked up once, and each group runs as one
+  /// requests[indices]: prepare, then decide on the calling thread. One
+  /// shared lock acquisition snapshots every template, the known
+  /// requests are grouped by (matrix_seed, dim), each group's matrix is
+  /// looked up once, and each group runs as one
   /// GaussianMatrix::transform_batch tile instead of one transform per
   /// request. decisions[i] is written for each i in `indices`
   /// (decisions.size() must equal requests.size()); other slots are
@@ -241,37 +220,41 @@ class BatchVerifier {
   /// budget that dies mid-batch stops burning cycles on answers nobody
   /// will read. The default deadline is unlimited and costs one null
   /// check (bench_overhead's <2% gate covers this path).
-  ///
-  /// `degraded` is degraded mode (DESIGN.md §17.4), set by the resilience
-  /// layer for a shard whose circuit breaker is engaged: each group's
-  /// matrix comes from MatrixCache::peek instead of get, so nothing is
-  /// built; a miss sheds the group's members (typed Overloaded), and
-  /// every served decision carries the `degraded` bit. Snapshot, gates,
-  /// grouping, deadline checks and arithmetic are the healthy path's.
   CoalesceStats verify_coalesced(std::span<const VerifyRequest> requests,
                                  std::span<const std::size_t> indices,
                                  std::span<BatchDecision> decisions,
-                                 const common::Deadline& deadline = {},
-                                 bool degraded = false) const MANDIPASS_EXCLUDES(mutex_);
+                                 const common::Deadline& deadline = {}) const
+      MANDIPASS_EXCLUDES(mutex_);
 
   /// The kernel's prepare step for requests[indices]: the deadline gate
   /// on entry, the probe gate before any lock, ONE shared-lock window
   /// that snapshots every template, the template gate, and grouping by
   /// key. Rejected and expired requests get their typed decisions here;
   /// the rest are reset and left to decide(). Same contract on
-  /// `decisions` as verify_coalesced.
+  /// `decisions` as verify_coalesced. `degraded` marks a shard whose
+  /// circuit breaker is engaged (DESIGN.md §17.4); decide() never builds
+  /// a key for it alone and sets the bit on every decision it serves.
   PreparedShard prepare(std::span<const VerifyRequest> requests,
                         std::span<const std::size_t> indices, std::span<BatchDecision> decisions,
                         const common::Deadline& deadline, bool degraded) const
       MANDIPASS_EXCLUDES(mutex_);
 
-  /// The kernel's decide step for one prepared shard: per group, the
-  /// key's matrix from `keys` (which must hold every key of `shard`),
-  /// one transform_batch and a cosine decision per member, written at
-  /// the member's request index. An expired key's members expire; a key
-  /// that was not cached sheds its members. Takes no lock.
-  CoalesceStats decide(std::span<const VerifyRequest> requests, const PreparedShard& shard,
-                       const ResolvedKeys& keys, std::span<BatchDecision> decisions) const;
+  /// The kernel's decide step for the prepared shards of one call: one
+  /// task per distinct key of `shards`, fanned out over `pool` (on the
+  /// calling thread when null). Each task checks `deadline`, looks its
+  /// key up in this engine's cache once — with get when any healthy
+  /// shard needs the key, else with peek, so nothing is built for
+  /// degraded shards alone — and runs each shard's group of that key as
+  /// one transform_batch with a cosine decision per member, written at
+  /// the member's request index. The members of a key whose lookup the
+  /// budget did not reach expire in every shard; a key that was not
+  /// cached sheds its members (typed Overloaded), and a degraded shard's
+  /// decisions carry the `degraded` bit. Takes no shard lock; call it
+  /// after every prepare of the call has returned (DESIGN.md §15.3).
+  /// Returns the coalescing accounting of all the shards.
+  CoalesceStats decide(std::span<const VerifyRequest> requests,
+                       std::span<const PreparedShard> shards, std::span<BatchDecision> decisions,
+                       const common::Deadline& deadline, common::ThreadPool* pool) const;
 
   double threshold() const { return verifier_.threshold(); }
 

@@ -18,7 +18,7 @@
 //
 // Integrity: each entry records the CRC32 of its packed kernel bytes at
 // insert and re-verifies on every lookup. The serving path looks each
-// distinct key up once per call (the resolve step,
+// distinct key up once per call (the decide step,
 // auth/batch_verifier.h), so a call pays one CRC pass per distinct key,
 // not one per request or per shard, and every key a call uses is checked
 // in that call. A mismatch means the shared in-memory matrix was
@@ -32,7 +32,7 @@
 // one Mutex guards map + recency list. A lookup holds it only for the
 // find and, in get, the recency splice: it copies the entry's shared_ptr
 // and recorded CRC, releases the lock and runs the CRC pass over the
-// copy, so concurrent lookups (resolve lanes verifying their keys) run
+// copy, so concurrent lookups (decide lanes verifying their keys) run
 // their CRC passes in parallel instead of queueing on the one lock. The
 // copy keeps the matrix alive even if the entry is evicted meanwhile.
 // On a mismatch get re-locks and drops the entry only if it still holds
@@ -100,8 +100,6 @@ class MatrixCache {
 
   /// Number of distinct seeds currently cached.
   std::size_t size() const MANDIPASS_EXCLUDES(mutex_);
-
-  std::size_t max_entries() const { return config_.max_entries; }
 
   /// Corrupts the stored CRC of `seed`'s entry so the next lookup takes
   /// the poison-detection path. Test/chaos hook: the matrix itself is

@@ -22,9 +22,9 @@
 //
 // After admission and a serial stall/breaker pass, the batch goes to
 // ShardedVerifier::serve, the service's one shard fan-out, so healthy
-// and degraded shards alike get the kernel's single snapshot window,
-// one lookup per distinct key of the call with its deadline re-check,
-// and the coalesced transform.
+// and degraded shards alike get the kernel's single snapshot window per
+// shard, then its one task per distinct key of the call: the deadline
+// re-check, one lookup and the coalesced transform.
 //
 // Request taxonomy after this layer (the §17 table):
 //   shed      never entered service (queue full / degraded cache miss)
@@ -87,18 +87,14 @@ class ResilientVerifier {
   // ---- population management: straight delegation to the engine ----
   void enroll(const std::string& user, StoredTemplate tmpl) { engine_.enroll(user, std::move(tmpl)); }
   bool revoke(const std::string& user) { return engine_.revoke(user); }
-  std::size_t size() const { return engine_.size(); }
   std::size_t shard_count() const { return engine_.shard_count(); }
   std::size_t shard_for(std::string_view user) const { return engine_.shard_for(user); }
-  double threshold() const { return engine_.threshold(); }
 
   /// The wrapped engine (e.g. for cache prewarming or healthy-path
   /// comparison in tests/benches).
   ShardedVerifier& engine() { return engine_; }
-  const ShardedVerifier& engine() const { return engine_; }
 
   CircuitBreaker& breaker(std::size_t s) { return *breakers_[s]; }
-  const CircuitBreaker& breaker(std::size_t s) const { return *breakers_[s]; }
 
   /// The owned fault injector (chaos scripting surface).
   ServiceFaultInjector& faults() { return faults_; }

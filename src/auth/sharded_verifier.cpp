@@ -73,56 +73,33 @@ void ShardedVerifier::serve(std::span<const VerifyRequest> requests,
                             std::span<const ShardWork> work, std::span<BatchDecision> decisions,
                             common::ThreadPool* pool, const common::Deadline& deadline) const {
   MANDIPASS_EXPECTS(work.size() == shards_.size());
-  common::ThreadPool& tp = pool != nullptr ? *pool : common::ThreadPool::global();
-
-  // The kernel's three steps, each fanned out with grain 1 over the shards
-  // that have work (or, for resolve, the call's distinct keys), so a
-  // one-request call runs inline and wakes no worker. A call on one shard
-  // resolves its keys on the calling thread, as that shard's own kernel
-  // would: it has no duplicate lookup to save, and with concurrent
-  // callers already busy on every core, spreading its lookups over the
-  // pool adds wake-ups and waiting but no parallelism. Each index sits in
-  // one shard's list, so the shard tasks write disjoint decision slots.
-  // Lock topology (DESIGN.md §15.3): a lane holds at most one shard lock,
-  // inside prepare; the resolve step starts only after every snapshot
-  // window has closed, so the cache lock never overlaps a shard lock; and
-  // decide takes no lock. The per-shard and per-key work is independent
-  // of lane assignment, so decisions are identical for any thread count.
-  std::vector<std::size_t> active;
+  // Prepare every shard that has work on the calling thread, one shard
+  // lock at a time, so every snapshot window of the call has closed
+  // before decide makes its first cache call (DESIGN.md §15.3).
+  std::vector<PreparedShard> prepared;
+  std::size_t routed = 0;
   for (std::size_t s = 0; s < work.size(); ++s) {
     if (!work[s].indices.empty()) {
-      active.push_back(s);
+      prepared.push_back(
+          shards_[s]->prepare(requests, work[s].indices, decisions, deadline, work[s].degraded));
+      routed += work[s].indices.size();
     }
   }
-  std::vector<PreparedShard> prepared(active.size());
-  tp.parallel_for(0, active.size(), 1, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t a = lo; a < hi; ++a) {
-      const ShardWork& w = work[active[a]];
-      prepared[a] =
-          shards_[active[a]]->prepare(requests, w.indices, decisions, deadline, w.degraded);
-    }
-  });
-  const ResolvedKeys keys =
-      resolve_keys(*cache_, prepared, deadline, active.size() > 1 ? &tp : nullptr);
-  std::vector<CoalesceStats> shard_cs(active.size());
-  tp.parallel_for(0, active.size(), 1, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t a = lo; a < hi; ++a) {
-      shard_cs[a] = shards_[active[a]]->decide(requests, prepared[a], keys, decisions);
-    }
-  });
+  // The call's one fan-out: one task per distinct key, over the pool only
+  // when more than one shard has work. A call on one shard decides on the
+  // calling thread, as that shard's own kernel would: it has no duplicate
+  // lookup to save, and with concurrent callers already busy on every
+  // core, spreading its keys over the pool adds wake-ups and waiting but
+  // no parallelism. Decide needs the engine's cache and threshold, which
+  // every shard shares by construction, so shard 0 decides for all.
+  common::ThreadPool* tp = nullptr;
+  if (prepared.size() > 1) {
+    tp = pool != nullptr ? pool : &common::ThreadPool::global();
+  }
+  const CoalesceStats total = shards_.front()->decide(requests, prepared, decisions, deadline, tp);
 
-  // Aggregate coalescing accounting after the join, on the caller thread,
-  // so counter totals are exact and independent of lane interleaving.
-  std::size_t routed = 0;
-  for (const ShardWork& w : work) {
-    routed += w.indices.size();
-  }
-  CoalesceStats total;
-  for (const CoalesceStats& cs : shard_cs) {
-    total.groups += cs.groups;
-    total.coalesced += cs.coalesced;
-    total.singletons += cs.singletons;
-  }
+  // Counted after the join, on the calling thread, so counter totals are
+  // exact and independent of lane interleaving.
   MANDIPASS_OBS_COUNT_N("auth.shard.verify_total", routed);
   MANDIPASS_OBS_COUNT_N("auth.shard.coalesced_groups", total.groups);
   MANDIPASS_OBS_COUNT_N("auth.shard.coalesced_requests", total.coalesced);

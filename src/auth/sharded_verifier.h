@@ -14,14 +14,13 @@
 //   * verify_batch routes each request to its shard, then hands the
 //     per-shard lists to serve(), the service's one shard fan-out (the
 //     resilience layer calls it too, after its own admission). serve()
-//     runs the engine's decision kernel (auth/batch_verifier.h) across
-//     the shards on the thread pool: BatchVerifier::prepare per shard,
-//     one resolve_keys over every shard's Gaussian keys — so a key that
-//     several shards need costs one cache lookup, one CRC pass — then
-//     BatchVerifier::decide per shard. Within a shard the requests are
-//     grouped by Gaussian-matrix seed and each group runs as one
-//     packed-GEMM tile: same-seed requests share one streaming pass over
-//     the packed matrix.
+//     runs the engine's decision kernel (auth/batch_verifier.h):
+//     BatchVerifier::prepare for each shard on the calling thread, then
+//     one BatchVerifier::decide over all of them, one pool task per
+//     distinct Gaussian key — so a key that several shards need costs
+//     one cache lookup, one CRC pass. Within a shard the requests of one
+//     key run as one packed-GEMM tile: same-key requests share one
+//     streaming pass over the packed matrix.
 //
 // Shard invariance: every decision is produced by the same snapshot +
 // transform + cosine pipeline as a lone BatchVerifier, and coalescing
@@ -34,11 +33,12 @@
 // immutable after construction, so this class adds NO lock of its own —
 // the only capabilities involved are each shard's internal mutex_ (never
 // held two at a time: the router touches one shard per request, and only
-// the prepare step locks a shard, one shard per pool task) and the
-// MatrixCache mutex (never held while a shard lock is held: the resolve
-// step starts after every prepare of the call has released its shard
-// lock, and decide takes no lock). Deadlock is therefore impossible by
-// construction — there is no point where two locks overlap.
+// the prepare step locks a shard, one shard at a time on the calling
+// thread) and the MatrixCache mutex (never held while a shard lock is
+// held: decide makes its first cache call after every prepare of the
+// call has released its shard lock, and takes no shard lock itself).
+// Deadlock is therefore impossible by construction — there is no point
+// where two locks overlap.
 #pragma once
 
 #include <cstdint>
@@ -62,7 +62,7 @@ std::uint64_t user_shard_hash(std::string_view user);
 
 /// One shard's share of a batch, as serve() takes it: the request
 /// indices routed to the shard, in request order, and whether the shard
-/// serves degraded mode (BatchVerifier::verify_coalesced's `degraded`).
+/// serves degraded mode (BatchVerifier::prepare's `degraded`).
 struct ShardWork {
   std::vector<std::size_t> indices;
   bool degraded = false;
@@ -106,24 +106,28 @@ class ShardedVerifier {
                            common::ThreadPool* pool = nullptr,
                            const common::Deadline& deadline = {}) const;
 
-  /// The shard fan-out, on `pool` (the global pool when null): the
-  /// kernel's prepare step for each non-empty work[s], one task per
-  /// shard; then resolve_keys over the union of their keys, one task per
-  /// key (on the calling thread when one shard has work) — a key any
-  /// healthy shard needs is fetched with get, one only degraded shards
-  /// need is peeked, and every shard uses that one result; then the
-  /// decide step per shard. Writes decisions[i] for each routed index i
-  /// and leaves other slots untouched. A one-request call runs inline. work.size() must equal shard_count(), each index
-  /// must appear at most once, in the list of the shard that owns its
-  /// user, and decisions.size() must equal requests.size().
+  /// The shard fan-out. Runs the kernel's prepare step for each shard
+  /// with work, on the calling thread, then one decide over all of them
+  /// (BatchVerifier::decide): one task per distinct key of the call, on
+  /// `pool` (the global pool when null) when more than one shard has
+  /// work and on the calling thread otherwise, so a one-request call
+  /// wakes no worker. A key any healthy shard needs is fetched with get,
+  /// one only degraded shards need is peeked, and every shard uses that
+  /// one result.
+  ///
+  /// Writes decisions[i] for each routed index i and leaves other slots
+  /// untouched. Preconditions: work.size() equals shard_count(); each
+  /// index appears at most once, in the list of the shard that owns its
+  /// user; decisions.size() equals requests.size().
+  ///
   /// auth.shard.{verify_total, coalesced_groups, coalesced_requests,
-  /// singleton_requests} are counted after the join on the caller
+  /// singleton_requests} are counted after the join on the calling
   /// thread, so they do not depend on the thread count.
   ///
   /// `deadline` bounds the call: each shard's prepare answers an expired
   /// budget with typed Expired decisions before any lock or GEMM, and
-  /// the resolve step re-checks it before each key's lookup. An
-  /// unlimited deadline adds one null check to the fast path.
+  /// decide re-checks it before each key's lookup. An unlimited deadline
+  /// adds one null check to the fast path.
   void serve(std::span<const VerifyRequest> requests, std::span<const ShardWork> work,
              std::span<BatchDecision> decisions, common::ThreadPool* pool,
              const common::Deadline& deadline) const;
@@ -132,15 +136,13 @@ class ShardedVerifier {
   /// read from shard 0 without a lock).
   double threshold() const;
 
-  /// The shared matrix cache (exposed for accounting; the non-const form
-  /// lets callers warm it and the chaos harness poison it).
-  const MatrixCache& matrix_cache() const { return *cache_; }
+  /// The shared matrix cache (callers warm it; the chaos harness
+  /// poisons it).
   MatrixCache& matrix_cache() { return *cache_; }
 
   /// Direct shard access (the resilience layer's persistence probes save
   /// individual shards). Precondition: s < shard_count().
   BatchVerifier& shard(std::size_t s) { return *shards_[s]; }
-  const BatchVerifier& shard(std::size_t s) const { return *shards_[s]; }
 
  private:
   /// Shared before the shards so it outlives them on destruction order.

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <iterator>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -22,8 +23,10 @@
 #include "auth/sharded_verifier.h"
 #include "common/deadline.h"
 #include "common/io.h"
+#include "common/mutex.h"
 #include "common/obs.h"
 #include "common/rng.h"
+#include "common/thread_annotations.h"
 #include "common/thread_pool.h"
 
 namespace mandipass::auth::resilience {
@@ -261,6 +264,90 @@ TEST(ShardedVerifierDeadline, ExpiredBudgetShortCircuitsEveryShard) {
                                              common::Deadline::after_us(1'000'000, &clock));
   EXPECT_EQ(ok.stats.expired, 0u);
   EXPECT_EQ(ok.stats.known, 12u);
+}
+
+/// A clock that moves 1 µs forward on every read, so a deadline dies
+/// after a fixed number of checks whatever the wall time. Guarded by a
+/// Mutex, as VirtualClock is.
+class TickPerReadClock final : public common::ClockSource {
+ public:
+  std::int64_t now_us() const override MANDIPASS_EXCLUDES(mutex_) {
+    common::MutexLock lock(mutex_);
+    return now_us_++;
+  }
+
+ private:
+  mutable common::Mutex mutex_;
+  mutable std::int64_t now_us_ MANDIPASS_GUARDED_BY(mutex_) = 0;
+};
+
+TEST(ShardedVerifierDeadline, BudgetThatDiesBetweenKeyLookupsExpiresTheRemainingKeys) {
+  // Six keys, six users on each, spread over the shards. On a 1-lane
+  // pool a call reads the clock once when the deadline is made, once per
+  // prepared shard and then once before each key's lookup, in key order;
+  // the budget below dies at the lookup of the fourth key.
+  constexpr std::uint64_t kFirstSeed = 800;
+  constexpr std::size_t kKeys = 6;
+  constexpr std::size_t kUsersPerKey = 6;
+  common::ThreadPool pool(1);
+  for (const std::size_t shards : {2u, 8u}) {
+    ShardedVerifier engine(shards);
+    Rng rng(34);
+    std::vector<VerifyRequest> requests;
+    std::vector<std::size_t> key_of;  // per request
+    std::vector<std::set<std::size_t>> shards_of_key(kKeys);
+    std::set<std::size_t> busy;
+    for (std::size_t u = 0; u < kKeys * kUsersPerKey; ++u) {
+      const auto print = random_print(rng);
+      const std::size_t key = u % kKeys;
+      engine.enroll(user_name(u), make_template(print, kFirstSeed + key, 1));
+      requests.push_back({user_name(u), print});
+      key_of.push_back(key);
+      shards_of_key[key].insert(engine.shard_for(user_name(u)));
+      busy.insert(engine.shard_for(user_name(u)));
+    }
+    for (std::size_t key = 0; key < kKeys; ++key) {
+      ASSERT_GT(shards_of_key[key].size(), 1u) << "key " << key << " at " << shards << " shards";
+    }
+    const BatchResult reference = engine.verify_batch(requests, &pool);
+
+    TickPerReadClock clock;
+    const auto budget = static_cast<std::int64_t>(1 + busy.size() + kKeys / 2);
+    const std::uint64_t expired_before = counter_value("auth.batch.verify_expired");
+    const BatchResult got =
+        engine.verify_batch(requests, &pool, common::Deadline::after_us(budget, &clock));
+    const std::uint64_t expired_delta = counter_value("auth.batch.verify_expired") - expired_before;
+
+    std::vector<int> served(kKeys, -1);  // per key: 1 served, 0 expired
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      const BatchDecision& d = got.decisions[i];
+      const bool ok = d.status != BatchStatus::Expired;
+      if (ok) {
+        EXPECT_TRUE(d.known) << i;
+        EXPECT_EQ(d.status, reference.decisions[i].status) << i;
+        EXPECT_EQ(d.decision.distance, reference.decisions[i].decision.distance) << i;
+      } else {
+        EXPECT_EQ(d.reason, common::ErrorCode::DeadlineExceeded) << i;
+        EXPECT_FALSE(d.known) << i;
+      }
+      int& outcome = served[key_of[i]];
+      if (outcome < 0) {
+        outcome = ok ? 1 : 0;
+      }
+      EXPECT_EQ(outcome, ok ? 1 : 0) << "members of key " << key_of[i] << " differ, request "
+                                     << i << ", " << shards << " shards";
+    }
+    const auto served_keys = static_cast<std::size_t>(std::count(served.begin(), served.end(), 1));
+    for (std::size_t key = 0; key < kKeys; ++key) {
+      EXPECT_EQ(served[key], key < served_keys ? 1 : 0)
+          << "served keys are not a prefix at key " << key << ", " << shards << " shards";
+    }
+    EXPECT_GT(served_keys, 0u) << shards << " shards";
+    EXPECT_LT(served_keys, kKeys) << shards << " shards";
+    EXPECT_EQ(served_keys, kKeys / 2) << shards << " shards";
+    EXPECT_EQ(got.stats.expired, (kKeys - served_keys) * kUsersPerKey) << shards << " shards";
+    EXPECT_EQ(expired_delta, got.stats.expired) << shards << " shards";
+  }
 }
 
 // ------------------------------------------------------ resilient layer
